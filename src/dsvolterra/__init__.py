@@ -32,8 +32,8 @@ from .harness import (
     compare_algorithms,
     config_from_dict,
     config_to_dict,
-    export_presets,
     load_config,
+    load_kernel_file,
     preset,
     run_experiment,
     run_trial,
@@ -62,8 +62,6 @@ from .signals import (
     desired_signal,
     generate_input,
     generate_noise,
-    load_kernel_file,
-    write_signal_csv,
 )
 from .volterra import (
     ArrayF,
@@ -73,7 +71,6 @@ from .volterra import (
     expand,
     expand_series,
     position_of,
-    predict,
     term_at,
     total_dimension,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "erfc_bound",
     "expand",
     "expand_series",
-    "export_presets",
     "gamma_for_known_bound",
     "generate_input",
     "generate_noise",
@@ -122,7 +118,6 @@ __all__ = [
     "load_kernel_file",
     "monotonicity_stats",
     "position_of",
-    "predict",
     "prefix_ratios",
     "preset",
     "push_sample",
@@ -136,6 +131,5 @@ __all__ = [
     "total_dimension",
     "verify_trace",
     "vnlms_step",
-    "write_signal_csv",
     "write_trace_csv",
 ]

@@ -11,21 +11,23 @@ are serialized at 17 significant digits, and no timestamps are recorded.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidTermError
 from .filters import (
     DEFAULT_WINDOW,
     FilterState,
     ThresholdPolicy,
     ds_vnlms_step,
-    gamma_for_known_bound,
     push_sample,
     vnlms_step,
 )
@@ -45,17 +47,11 @@ from .signals import (
     desired_signal,
     generate_input,
     generate_noise,
-    load_kernel_file,
 )
 from .volterra import TermIndex, VolterraConfig, embed_kernel, position_of, term_at, total_dimension
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DSVOLTERRA_OUT"
-
-#: nominal measurement-noise variance shared by the built-in presets
-SIGMA_N_SQ = 0.01
-#: known noise bound for the bounded-noise presets
-NOISE_BOUND = 0.1
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,9 @@ def _write_outputs(config: ExperimentConfig, result: dict, target: Path) -> None
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: Mapping, where: str, required: set[str], optional: set[str]) -> None:
+def _check_keys(obj, where: str, required: set[str], optional: set[str]) -> None:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj.keys())
     missing = sorted(required - keys)
     unknown = sorted(keys - required - optional)
@@ -328,108 +326,78 @@ def _check_keys(obj: Mapping, where: str, required: set[str], optional: set[str]
         raise ConfigError(f"{where}: " + ", ".join(parts))
 
 
-def _policy_to_dict(policy: ThresholdPolicy) -> dict:
-    return {
-        "mode": policy.mode,
-        "gamma_fixed": policy.gamma_fixed,
-        "sigma_n_sq": policy.sigma_n_sq,
-        "tau_transient": policy.tau_transient,
-        "tau_steady": policy.tau_steady,
-        "window_length": policy.window_length,
-        "steady_update_threshold": policy.steady_update_threshold,
-    }
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a ``kind``; ints widen to float, bools are not numbers,
+    and floats must be finite."""
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: {value} is out of range") from None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
-def _policy_from_dict(obj: Mapping, where: str) -> ThresholdPolicy:
+@functools.cache
+def _spec_fields(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, value type, required) for each field of a flat spec dataclass,
+    leaving out the ``seed`` that runs derive per trial."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            str if typing.get_origin(hints[f.name]) is Literal else hints[f.name],
+            f.default is dataclasses.MISSING,
+        )
+        for f in dataclasses.fields(cls)
+        if f.name != "seed"
+    )
+
+
+def _spec_to_dict(spec) -> dict:
+    return {name: getattr(spec, name) for name, _, _ in _spec_fields(type(spec))}
+
+
+def _spec_from_dict(cls, obj, where: str):
+    fields = _spec_fields(cls)
     _check_keys(
         obj,
         where,
-        required={"mode"},
-        optional={
-            "gamma_fixed",
-            "sigma_n_sq",
-            "tau_transient",
-            "tau_steady",
-            "window_length",
-            "steady_update_threshold",
-        },
+        required={name for name, _, required in fields if required},
+        optional={name for name, _, required in fields if not required},
     )
+    kinds = {name: kind for name, kind, _ in fields}
+    values = {key: _typed(value, kinds[key], f"{where}.{key}") for key, value in obj.items()}
     try:
-        return ThresholdPolicy(
-            mode=obj["mode"],
-            gamma_fixed=float(obj.get("gamma_fixed", 0.0)),
-            sigma_n_sq=float(obj.get("sigma_n_sq", 0.01)),
-            tau_transient=float(obj.get("tau_transient", 5.0)),
-            tau_steady=float(obj.get("tau_steady", 9.0)),
-            window_length=int(obj.get("window_length", 20)),
-            steady_update_threshold=int(obj.get("steady_update_threshold", 5)),
-        )
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _algorithm_to_dict(alg: AlgorithmSpec) -> dict:
     out: dict = {"label": alg.label, "kind": alg.kind}
-    if alg.kind == "ds_vnlms":
-        out["policy"] = _policy_to_dict(alg.policy)
-    else:
+    if alg.policy is not None:
+        out["policy"] = _spec_to_dict(alg.policy)
+    if alg.mu is not None:
         out["mu"] = alg.mu
     return out
 
 
-def _algorithm_from_dict(obj: Mapping, where: str) -> AlgorithmSpec:
+def _algorithm_from_dict(obj, where: str) -> AlgorithmSpec:
     _check_keys(obj, where, required={"label", "kind"}, optional={"policy", "mu"})
-    kind = obj["kind"]
-    if kind == "ds_vnlms":
-        if "policy" not in obj:
-            raise ConfigError(f"{where}: ds_vnlms requires a policy")
-        return AlgorithmSpec(
-            label=str(obj["label"]),
-            kind="ds_vnlms",
-            policy=_policy_from_dict(obj["policy"], f"{where}.policy"),
-        )
-    if kind == "vnlms":
-        if "mu" not in obj:
-            raise ConfigError(f"{where}: vnlms requires mu")
-        return AlgorithmSpec(label=str(obj["label"]), kind="vnlms", mu=float(obj["mu"]))
-    raise ConfigError(f"{where}: unknown algorithm kind {kind!r}")
-
-
-def _signal_to_dict(spec: SignalSpec) -> dict:
-    out: dict = {"kind": spec.kind, "variance": spec.variance}
-    if spec.kind == "ar1":
-        out["ar_coefficient"] = spec.ar_coefficient
-    return out
-
-
-def _signal_from_dict(obj: Mapping, where: str) -> SignalSpec:
-    _check_keys(obj, where, required={"kind"}, optional={"variance", "ar_coefficient"})
+    label = _typed(obj["label"], str, f"{where}.label")
+    policy = (
+        _spec_from_dict(ThresholdPolicy, obj["policy"], f"{where}.policy")
+        if "policy" in obj
+        else None
+    )
+    mu = _typed(obj["mu"], float, f"{where}.mu") if "mu" in obj else None
     try:
-        return SignalSpec(
-            kind=obj["kind"],
-            variance=float(obj.get("variance", 1.0)),
-            ar_coefficient=float(obj.get("ar_coefficient", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _noise_to_dict(spec: NoiseSpec) -> dict:
-    out: dict = {"kind": spec.kind, "variance": spec.variance}
-    if spec.kind == "uniform_bounded":
-        out["bound"] = spec.bound
-    return out
-
-
-def _noise_from_dict(obj: Mapping, where: str) -> NoiseSpec:
-    _check_keys(obj, where, required={"kind"}, optional={"variance", "bound"})
-    try:
-        return NoiseSpec(
-            kind=obj["kind"],
-            variance=float(obj.get("variance", 0.01)),
-            bound=float(obj.get("bound", 0.1)),
-        )
-    except ValueError as exc:
+        return AlgorithmSpec(label=label, kind=obj["kind"], policy=policy, mu=mu)
+    except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -449,6 +417,48 @@ def _channel_to_obj(channel: Channel):
     }
 
 
+def _channel_from_terms(obj, where: str, optional: set[str]) -> Channel:
+    """A channel from its layout and a sparse term list; ``optional`` names
+    the layout fields allowed beside ``order`` and ``memory``."""
+    _check_keys(obj, where, required={"order", "memory", "terms"}, optional=optional)
+    layout = _spec_from_dict(
+        VolterraConfig, {k: v for k, v in obj.items() if k != "terms"}, where
+    )
+    kernel = np.zeros(total_dimension(layout))
+    for i, entry in enumerate(_typed(obj["terms"], list, f"{where}.terms")):
+        at = f"{where}.terms[{i}]"
+        _check_keys(entry, at, required={"order", "lags", "value"}, optional=set())
+        lags = _typed(entry["lags"], list, f"{at}.lags")
+        order = _typed(entry["order"], int, f"{at}.order")
+        value = _typed(entry["value"], float, f"{at}.value")
+        try:
+            term = TermIndex(order, tuple(_typed(lag, int, f"{at}.lags") for lag in lags))
+            kernel[position_of(term, layout)] = value
+        except InvalidTermError as exc:
+            raise ConfigError(f"{at}: {exc}") from exc
+    return Channel(kernel=kernel, config=layout)
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_kernel_file(path) -> Channel:
+    """Read a channel from JSON: ``order``, ``memory``, an optional
+    ``regularization`` and a sparse term list.
+
+    Schema::
+
+        {"order": 2, "memory": 3,
+         "terms": [{"order": 1, "lags": [0], "value": -0.76}, ...]}
+    """
+    path = Path(path)
+    return _channel_from_terms(_read_json(path), str(path), optional={"regularization"})
+
+
 def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
     if obj == "benchmark":
         return benchmark_channel()
@@ -456,17 +466,11 @@ def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
         raise ConfigError(f"{where}: expected 'benchmark', a kernel_file, or inline terms")
     if "kernel_file" in obj:
         _check_keys(obj, where, required={"kernel_file"}, optional=set())
-        path = Path(obj["kernel_file"])
+        path = Path(_typed(obj["kernel_file"], str, f"{where}.kernel_file"))
         if base_path is not None and not path.is_absolute():
             path = base_path / path
         return load_kernel_file(path)
-    _check_keys(obj, where, required={"order", "memory", "terms"}, optional=set())
-    config = VolterraConfig(order=int(obj["order"]), memory=int(obj["memory"]))
-    kernel = np.zeros(total_dimension(config))
-    for entry in obj["terms"]:
-        term = TermIndex(int(entry["order"]), tuple(entry["lags"]))
-        kernel[position_of(term, config)] = float(entry["value"])
-    return Channel(kernel=kernel, config=config)
+    return _channel_from_terms(obj, where, optional=set())
 
 
 def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) -> dict:
@@ -474,14 +478,10 @@ def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) ->
         "schema_version": SCHEMA_VERSION,
         "name": config.name,
         "description": config.description,
-        "volterra": {
-            "order": config.volterra.order,
-            "memory": config.volterra.memory,
-            "regularization": config.volterra.regularization,
-        },
+        "volterra": _spec_to_dict(config.volterra),
         "channel": _channel_to_obj(config.channel),
-        "input": _signal_to_dict(config.input),
-        "noise": _noise_to_dict(config.noise),
+        "input": _spec_to_dict(config.input),
+        "noise": _spec_to_dict(config.noise),
         "algorithms": [_algorithm_to_dict(a) for a in config.algorithms],
         "iterations": config.iterations,
         "trials": config.trials,
@@ -493,6 +493,15 @@ def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) ->
     if include_output_dir and config.output_dir is not None:
         out["output_dir"] = config.output_dir
     return out
+
+
+#: optional top-level scalars: JSON key -> (ExperimentConfig field, value type)
+_CONFIG_SCALARS = {
+    "description": ("description", str),
+    "iterations": ("iterations", int),
+    "trials": ("trials", int),
+    "seed": ("base_seed", int),
+}
 
 
 def config_from_dict(payload: Mapping, base_path: Path | None = None) -> ExperimentConfig:
@@ -507,45 +516,36 @@ def config_from_dict(payload: Mapping, base_path: Path | None = None) -> Experim
             f"config: unsupported schema_version {payload['schema_version']!r}"
             f" (expected {SCHEMA_VERSION})"
         )
-    vol = payload["volterra"]
-    _check_keys(vol, "config.volterra", required={"order", "memory"}, optional={"regularization"})
-    try:
-        volterra = VolterraConfig(
-            order=int(vol["order"]),
-            memory=int(vol["memory"]),
-            regularization=float(vol.get("regularization", 1e-9)),
+    scalars = {
+        field: _typed(payload[key], kind, f"config.{key}")
+        for key, (field, kind) in _CONFIG_SCALARS.items()
+        if key in payload
+    }
+    if "seeds" in payload:
+        scalars["seeds"] = tuple(
+            _typed(s, int, f"config.seeds[{i}]")
+            for i, s in enumerate(_typed(payload["seeds"], list, "config.seeds"))
         )
-    except ValueError as exc:
-        raise ConfigError(f"config.volterra: {exc}") from exc
-    algorithms = tuple(
-        _algorithm_from_dict(a, f"config.algorithms[{i}]")
-        for i, a in enumerate(payload["algorithms"])
-    )
-    seeds = tuple(int(s) for s in payload["seeds"]) if "seeds" in payload else None
+    if payload.get("output_dir") is not None:
+        scalars["output_dir"] = _typed(payload["output_dir"], str, "config.output_dir")
     return ExperimentConfig(
-        name=str(payload["name"]),
-        volterra=volterra,
+        name=_typed(payload["name"], str, "config.name"),
+        volterra=_spec_from_dict(VolterraConfig, payload["volterra"], "config.volterra"),
         channel=_channel_from_obj(payload["channel"], "config.channel", base_path),
-        input=_signal_from_dict(payload["input"], "config.input"),
-        noise=_noise_from_dict(payload["noise"], "config.noise"),
-        algorithms=algorithms,
-        iterations=int(payload.get("iterations", 2500)),
-        trials=int(payload.get("trials", 1)),
-        seeds=seeds,
-        base_seed=int(payload.get("seed", 0)),
-        output_dir=payload.get("output_dir"),
-        description=str(payload.get("description", "")),
+        input=_spec_from_dict(SignalSpec, payload["input"], "config.input"),
+        noise=_spec_from_dict(NoiseSpec, payload["noise"], "config.noise"),
+        algorithms=tuple(
+            _algorithm_from_dict(a, f"config.algorithms[{i}]")
+            for i, a in enumerate(_typed(payload["algorithms"], list, "config.algorithms"))
+        ),
+        **scalars,
     )
 
 
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a JSON file."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(payload, base_path=path.parent)
+    return config_from_dict(_read_json(path), base_path=path.parent)
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -557,168 +557,25 @@ def save_config(config: ExperimentConfig, path) -> None:
 # built-in presets
 # ---------------------------------------------------------------------------
 
-_WGN_INPUT = SignalSpec("white_gaussian", variance=1.0)
-_AR1_INPUT = SignalSpec("ar1", variance=1.0, ar_coefficient=0.95)
-_GAUSSIAN_NOISE = NoiseSpec("gaussian", variance=SIGMA_N_SQ)
-_BOUNDED_NOISE = NoiseSpec("uniform_bounded", variance=SIGMA_N_SQ, bound=NOISE_BOUND)
+_PRESET_DIR = resources.files(__package__) / "presets"
 
 
-def _ds_fixed(label: str, tau: float) -> AlgorithmSpec:
-    return AlgorithmSpec(
-        label=label,
-        kind="ds_vnlms",
-        policy=ThresholdPolicy.fixed(math.sqrt(tau * SIGMA_N_SQ), sigma_n_sq=SIGMA_N_SQ),
-    )
-
-
-def _comparison_algorithms() -> tuple[AlgorithmSpec, ...]:
-    return (
-        AlgorithmSpec(label="vnlms_mu08", kind="vnlms", mu=0.8),
-        AlgorithmSpec(label="vnlms_mu03", kind="vnlms", mu=0.3),
-        _ds_fixed("ds_fixed", tau=5.0),
-        AlgorithmSpec(
-            label="ds_known_bound",
-            kind="ds_vnlms",
-            policy=ThresholdPolicy.fixed(
-                gamma_for_known_bound(NOISE_BOUND), sigma_n_sq=SIGMA_N_SQ
-            ),
-        ),
-        AlgorithmSpec(
-            label="ds_time_varying",
-            kind="ds_vnlms",
-            policy=ThresholdPolicy.time_varying(SIGMA_N_SQ),
-        ),
+def _preset_names() -> list[str]:
+    return sorted(
+        entry.name.removesuffix(".json")
+        for entry in _PRESET_DIR.iterdir()
+        if entry.name.endswith(".json")
     )
 
 
 def builtin_presets() -> dict[str, ExperimentConfig]:
-    """The built-in benchmark scenarios, keyed by preset name."""
-    volterra = VolterraConfig(order=3, memory=3, regularization=1e-9)
-    channel = benchmark_channel()
-
-    def make(name, description, input_spec, noise_spec, algorithms, seed):
-        return ExperimentConfig(
-            name=name,
-            volterra=volterra,
-            channel=channel,
-            input=input_spec,
-            noise=noise_spec,
-            algorithms=algorithms,
-            iterations=2500,
-            trials=1,
-            base_seed=seed,
-            description=description,
-        )
-
-    presets = {}
-    presets["fig1a"] = make(
-        "fig1a",
-        "White Gaussian input, fixed threshold sqrt(5 sigma_n^2): local/global"
-        " energy certificates over 2500 iterations.",
-        _WGN_INPUT,
-        _GAUSSIAN_NOISE,
-        (_ds_fixed("ds_fixed", tau=5.0),),
-        101,
-    )
-    presets["fig1b"] = make(
-        "fig1b",
-        "AR(1) input (a=0.95), fixed threshold sqrt(5 sigma_n^2): local/global"
-        " energy certificates over 2500 iterations.",
-        _AR1_INPUT,
-        _GAUSSIAN_NOISE,
-        (_ds_fixed("ds_fixed", tau=5.0),),
-        102,
-    )
-    presets["fig2a"] = make(
-        "fig2a",
-        "White Gaussian input, fixed threshold sqrt(2 sigma_n^2): local/global"
-        " energy certificates over 2500 iterations.",
-        _WGN_INPUT,
-        _GAUSSIAN_NOISE,
-        (_ds_fixed("ds_fixed", tau=2.0),),
-        103,
-    )
-    presets["fig2b"] = make(
-        "fig2b",
-        "AR(1) input (a=0.95), fixed threshold sqrt(2 sigma_n^2): local/global"
-        " energy certificates over 2500 iterations.",
-        _AR1_INPUT,
-        _GAUSSIAN_NOISE,
-        (_ds_fixed("ds_fixed", tau=2.0),),
-        104,
-    )
-    presets["fig5"] = make(
-        "fig5",
-        "White Gaussian input, Gaussian noise: VNLMS (mu=0.8, 0.3) vs DS-VNLMS"
-        " (fixed, known-bound, time-varying thresholds) on shared realizations.",
-        _WGN_INPUT,
-        _GAUSSIAN_NOISE,
-        _comparison_algorithms(),
-        105,
-    )
-    presets["fig6"] = make(
-        "fig6",
-        "AR(1) input, Gaussian noise: VNLMS (mu=0.8, 0.3) vs DS-VNLMS (fixed,"
-        " known-bound, time-varying thresholds) on shared realizations.",
-        _AR1_INPUT,
-        _GAUSSIAN_NOISE,
-        _comparison_algorithms(),
-        106,
-    )
-    presets["fig5-blue"] = make(
-        "fig5-blue",
-        "White Gaussian input, uniform noise bounded by C=0.1, threshold 2C:"
-        " the deviation energy never increases.",
-        _WGN_INPUT,
-        _BOUNDED_NOISE,
-        (
-            AlgorithmSpec(
-                label="ds_known_bound",
-                kind="ds_vnlms",
-                policy=ThresholdPolicy.fixed(
-                    gamma_for_known_bound(NOISE_BOUND), sigma_n_sq=SIGMA_N_SQ
-                ),
-            ),
-        ),
-        107,
-    )
-    presets["fig6-blue"] = make(
-        "fig6-blue",
-        "AR(1) input, uniform noise bounded by C=0.1, threshold 2C: the"
-        " deviation energy never increases.",
-        _AR1_INPUT,
-        _BOUNDED_NOISE,
-        (
-            AlgorithmSpec(
-                label="ds_known_bound",
-                kind="ds_vnlms",
-                policy=ThresholdPolicy.fixed(
-                    gamma_for_known_bound(NOISE_BOUND), sigma_n_sq=SIGMA_N_SQ
-                ),
-            ),
-        ),
-        108,
-    )
-    return presets
+    """The built-in benchmark scenarios, keyed by preset name in sorted order."""
+    return {name: preset(name) for name in _preset_names()}
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Look up a built-in preset by name."""
-    presets = builtin_presets()
-    if name not in presets:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
-        )
-    return presets[name]
-
-
-def export_presets(directory) -> list[Path]:
-    """Materialize every built-in preset as a JSON config file."""
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, config in builtin_presets().items():
-        path = target / f"{name}.json"
-        save_config(config, path)
-        written.append(path)
-    return written
+    """Load a built-in preset by name from the package's ``presets/*.json``."""
+    names = _preset_names()
+    if name not in names:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    return config_from_dict(json.loads((_PRESET_DIR / f"{name}.json").read_text()))

@@ -332,7 +332,8 @@ def write_trace_csv(records: Sequence[IterationRecord], path) -> None:
 
 
 def read_trace_csv(path) -> list[IterationRecord]:
-    """Read back a trace written by :func:`write_trace_csv`."""
+    """Read back a trace written by :func:`write_trace_csv`; every field must
+    be a finite number."""
     lines = Path(path).read_text().splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"{path}: not a trace CSV (bad or missing header)")
@@ -341,40 +342,37 @@ def read_trace_csv(path) -> list[IterationRecord]:
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} columns")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                e=float(parts[1]),
-                e_tilde=float(parts[2]),
-                n=float(parts[3]),
-                updated=parts[4] == "1",
-                mu_bar=float(parts[5]),
-                alpha=float(parts[6]),
-                gamma_used=float(parts[7]),
-                wtilde_sq_before=float(parts[8]),
-                wtilde_sq_after=float(parts[9]),
-                lhs=float(parts[10]),
-                rhs=float(parts[11]),
-            )
-        )
+        try:
+            k = int(parts[0])
+            values = list(map(float, parts[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            column = next(c for c, v in zip(TRACE_COLUMNS[1:], values) if not math.isfinite(v))
+            raise ValueError(f"{path}:{lineno}: column {column} is not finite")
+        values[3] = parts[4] == "1"  # the updated flag
+        records.append(IterationRecord(k, *values))
     return records
 
 
 def verify_trace(records: Sequence[IterationRecord]) -> list[str]:
     """Re-check a ledger: row arithmetic, the error decomposition, the local
     certificate on every row, and the prefix ratio wherever at least one
-    update has happened.  Returns violation messages; empty means the trace
-    certifies."""
+    update has happened (an undefined ratio there is a violation).  Any NaN
+    field fails its checks.  Returns violation messages; empty means the
+    trace certifies."""
     problems: list[str] = []
     for r in records:
         weight = (r.mu_bar / r.alpha) if r.updated else 0.0
         lhs_expected = r.wtilde_sq_after + weight * r.e_tilde**2
         rhs_expected = r.wtilde_sq_before + weight * r.n**2
-        if abs(r.lhs - lhs_expected) > EQUALITY_RTOL * max(1.0, abs(lhs_expected)) or abs(
-            r.rhs - rhs_expected
-        ) > EQUALITY_RTOL * max(1.0, abs(rhs_expected)):
+        # written as "not <=" so that a NaN anywhere counts as a mismatch
+        if not (
+            abs(r.lhs - lhs_expected) <= EQUALITY_RTOL * max(1.0, abs(lhs_expected))
+            and abs(r.rhs - rhs_expected) <= EQUALITY_RTOL * max(1.0, abs(rhs_expected))
+        ):
             problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
-        if abs(r.e - (r.e_tilde + r.n)) > EQUALITY_RTOL * max(
+        if not abs(r.e - (r.e_tilde + r.n)) <= EQUALITY_RTOL * max(
             1.0, abs(r.e), abs(r.e_tilde + r.n)
         ):
             problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
@@ -387,6 +385,6 @@ def verify_trace(records: Sequence[IterationRecord]) -> list[str]:
         ratios = prefix_ratios(records, records[0].wtilde_sq_before)
         updates = np.cumsum([1 if r.updated else 0 for r in records])
         for i, (ratio, n_up) in enumerate(zip(ratios, updates)):
-            if n_up >= 1 and not math.isnan(ratio) and not ratio < 1.0 + LOCAL_SLACK:
+            if n_up >= 1 and not ratio < 1.0 + LOCAL_SLACK:
                 problems.append(f"prefix K={i + 1}: global ratio {ratio!r} not below one")
     return problems

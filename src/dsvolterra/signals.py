@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -180,33 +178,3 @@ def desired_signal(channel: Channel, input_signal, noise) -> ArrayF:
             f"input {x.shape} and noise {n.shape} must be equal-length vectors"
         )
     return expand_series(x, channel.config) @ channel.kernel + n
-
-
-def load_kernel_file(path) -> Channel:
-    """Read a channel from JSON: ``order``, ``memory`` and a sparse term list.
-
-    Schema::
-
-        {"order": 2, "memory": 3,
-         "terms": [{"order": 1, "lags": [0], "value": -0.76}, ...]}
-    """
-    payload = json.loads(Path(path).read_text())
-    config = VolterraConfig(
-        order=int(payload["order"]),
-        memory=int(payload["memory"]),
-        regularization=float(payload.get("regularization", 1e-9)),
-    )
-    kernel = np.zeros(total_dimension(config))
-    for entry in payload["terms"]:
-        term = TermIndex(int(entry["order"]), tuple(entry["lags"]))
-        kernel[position_of(term, config)] = float(entry["value"])
-    return Channel(kernel=kernel, config=config)
-
-
-def write_signal_csv(values, path) -> None:
-    """Dump a generated trace as a single-column CSV for audit."""
-    vals = np.asarray(values, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        fh.write("value\n")
-        for v in vals:
-            fh.write(f"{v:.17g}\n")

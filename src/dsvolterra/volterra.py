@@ -1,4 +1,4 @@
-"""Triangular Volterra regressor layout: term indexing, expansion, prediction.
+"""Triangular Volterra regressor layout: term indexing, expansion, embedding.
 
 Once the input delay line is expanded into every monomial
 ``x(k-l1) * ... * x(k-lp)`` with nondecreasing lags, for orders ``p = 1..P``
@@ -153,17 +153,6 @@ def expand_series(signal, config: VolterraConfig) -> ArrayF:
     )
     _, _, blocks = _layout(config.order, config.memory)
     return np.concatenate([delays[:, b].prod(axis=2) for b in blocks], axis=1)
-
-
-def predict(kernel, regressor) -> float:
-    """Inner product of a kernel vector with a regressor."""
-    w = np.asarray(kernel, dtype=np.float64)
-    x = np.asarray(regressor, dtype=np.float64)
-    if w.ndim != 1 or w.shape != x.shape:
-        raise DimensionMismatchError(
-            f"kernel {w.shape} and regressor {x.shape} must be equal-length vectors"
-        )
-    return float(w @ x)
 
 
 def embed_kernel(kernel, source: VolterraConfig, target: VolterraConfig) -> ArrayF:

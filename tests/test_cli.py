@@ -11,7 +11,7 @@ import pytest
 from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from dsvolterra.robustness import read_trace_csv, write_trace_csv
 
-REPO_PRESETS = Path(__file__).resolve().parent.parent / "presets"
+PRESET_DIR = Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets"
 SMALL_CONFIG = {
     "schema_version": 1,
     "name": "cli-small",
@@ -67,6 +67,11 @@ class TestPresets:
         for name in ("fig1a", "fig1b", "fig2a", "fig2b", "fig5", "fig6", "fig5-blue", "fig6-blue"):
             assert name in out
 
+    def test_lists_in_sorted_order(self, capsys):
+        assert main(["presets"]) == EXIT_OK
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == sorted(p.stem for p in PRESET_DIR.glob("*.json"))
+
 
 class TestRun:
     def test_config_file(self, small_config_path, tmp_path, capsys):
@@ -91,7 +96,7 @@ class TestRun:
     def test_preset_file_path(self, tmp_path, capsys):
         # the committed preset files run directly as configs
         out_dir = tmp_path / "out"
-        config = json.loads((REPO_PRESETS / "fig1a.json").read_text())
+        config = json.loads((PRESET_DIR / "fig1a.json").read_text())
         config["iterations"] = 150
         path = tmp_path / "fig1a.json"
         path.write_text(json.dumps(config))
@@ -156,6 +161,32 @@ class TestCheck:
         assert main(["check", str(trace)]) == EXIT_VERIFICATION
         err = capsys.readouterr().err
         assert f"k={records[target].k}" in err
+
+    @pytest.mark.parametrize(
+        "column, value, row",
+        [("n", "nan", "non_update_after_first_update"), ("lhs", "inf", "first_update")],
+    )
+    def test_non_finite_field_fails(self, small_config_path, tmp_path, capsys, column, value, row):
+        # a NaN on a non-update row once slipped past every comparison and
+        # switched off the prefix-ratio check for the rest of the trace
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        trace = out_dir / "trial_000" / "ds" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        first = next(i for i, r in enumerate(rows) if r[header.index("updated")] == "1")
+        if row == "first_update":
+            target = first
+        else:
+            target = next(
+                i for i, r in enumerate(rows) if i > first and r[header.index("updated")] == "0"
+            )
+        rows[target][header.index(column)] = value
+        trace.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        assert main(["check", str(trace)]) != EXIT_OK
+        err = capsys.readouterr().err
+        assert f"{trace}:{target + 2}: column {column} is not finite" in err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.csv")]) == EXIT_IO

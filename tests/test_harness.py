@@ -1,12 +1,14 @@
 """Experiment configs, presets, shared realizations, emitted files, determinism."""
 
-import filecmp
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dsvolterra import (
     AlgorithmSpec,
@@ -22,15 +24,19 @@ from dsvolterra import (
     compare_algorithms,
     config_from_dict,
     config_to_dict,
-    export_presets,
     load_config,
+    load_kernel_file,
     preset,
     run_experiment,
     save_config,
     total_dimension,
 )
+from dsvolterra.cli import EXIT_USAGE, main
 
-REPO_PRESETS = Path(__file__).resolve().parent.parent / "presets"
+PRESET_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets").glob("*.json"),
+    key=lambda path: path.stem,
+)
 
 
 def small_config(**overrides):
@@ -154,12 +160,15 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown preset"):
             preset("fig9")
 
-    def test_repo_preset_files_in_sync(self, tmp_path):
-        # the committed presets/ directory must match a fresh export
-        written = export_presets(tmp_path)
-        assert {p.name for p in written} == {p.name for p in REPO_PRESETS.glob("*.json")}
-        for path in written:
-            assert filecmp.cmp(path, REPO_PRESETS / path.name, shallow=False), path.name
+    def test_preset_files_load_and_round_trip(self):
+        # the JSON files are the only preset source: each one loads, is
+        # named after its file, and survives a round trip through the codec
+        assert list(builtin_presets()) == [path.stem for path in PRESET_FILES]
+        for path in PRESET_FILES:
+            config = load_config(path)
+            assert config.name == path.stem
+            assert preset(path.stem) == config
+            assert config_from_dict(config_to_dict(config)) == config
 
 
 class TestConfigSerialization:
@@ -218,6 +227,177 @@ class TestConfigSerialization:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def _setter(*path, value):
+    """Mutation that sets the entry at ``path`` to ``value``."""
+
+    def mutate(payload, directory):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+
+    return mutate
+
+
+def _drop_term_value(payload, directory):
+    del payload["channel"]["terms"][0]["value"]
+    return payload
+
+
+def _kernel_without_terms(payload, directory):
+    (directory / "kernel.json").write_text('{"order": 2, "memory": 2}')
+    payload["channel"] = {"kernel_file": "kernel.json"}
+    return payload
+
+
+# (id, mutation of a valid payload, the path the error must name); a path
+# starting with "/" is relative to the test's directory
+MALFORMED = [
+    ("term_without_value", _drop_term_value, "config.channel.terms[0]"),
+    ("algorithms_not_a_list", _setter("algorithms", value=5), "config.algorithms"),
+    ("volterra_not_an_object", _setter("volterra", value=[3, 3]), "config.volterra"),
+    ("iterations_null", _setter("iterations", value=None), "config.iterations"),
+    ("fractional_order", _setter("volterra", "order", value=2.5), "config.volterra.order"),
+    (
+        "fractional_window_length",
+        _setter("algorithms", 0, "policy", "window_length", value=20.9),
+        "config.algorithms[0].policy.window_length",
+    ),
+    ("top_level_list", lambda payload, directory: [payload], "config"),
+    ("kernel_file_without_terms", _kernel_without_terms, "/kernel.json"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "mutate, where", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_rejected_with_path(self, mutate, where, tmp_path, capsys):
+        if where.startswith("/"):
+            where = f"{tmp_path}{where}"
+        payload = mutate(config_to_dict(small_config()), tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{where}:"), str(err.value)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {where}:"), captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_ints_widen_to_float(self):
+        payload = config_to_dict(small_config())
+        payload["input"]["variance"] = 1
+        assert config_from_dict(payload) == small_config()
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan")])
+    def test_floats_are_not_converted(self, value):
+        payload = config_to_dict(small_config())
+        payload["noise"]["variance"] = value
+        with pytest.raises(ConfigError, match=r"config\.noise\.variance"):
+            config_from_dict(payload)
+
+
+# values a fuzzed key may take; integers stay small so that a fuzzed layout
+# stays cheap to build
+_JUNK = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.lists(st.integers(-2, 4), max_size=4)
+    | st.dictionaries(st.text(max_size=4), st.integers(0, 3), max_size=2)
+)
+
+
+def _objects(value, found):
+    """Every JSON object nested in ``value``, outermost first."""
+    if isinstance(value, dict):
+        found.append(value)
+        for item in value.values():
+            _objects(item, found)
+    elif isinstance(value, list):
+        for item in value:
+            _objects(item, found)
+    return found
+
+
+@st.composite
+def _one_key_mutation(draw, base):
+    """``base`` with one key dropped, added or replaced in one nested object."""
+    payload = copy.deepcopy(base)
+    target = draw(st.sampled_from(_objects(payload, [])))
+    op = draw(st.sampled_from(["drop", "add", "replace"]))
+    if op == "add" or not target:
+        target[draw(st.text(max_size=8))] = draw(_JUNK)
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+        if op == "drop":
+            del target[key]
+        else:
+            target[key] = draw(_JUNK)
+    return payload
+
+
+_FUZZ_BASES = [json.loads(path.read_text()) for path in PRESET_FILES] + [
+    {
+        **json.loads(PRESET_FILES[0].read_text()),
+        "channel": {
+            "order": 2,
+            "memory": 3,
+            "terms": [
+                {"order": 1, "lags": [0], "value": -0.76},
+                {"order": 2, "lags": [0, 2], "value": 2.0},
+            ],
+        },
+    }
+]
+_KERNEL = {
+    "order": 2,
+    "memory": 3,
+    "regularization": 1e-9,
+    "terms": [
+        {"order": 1, "lags": [0], "value": -0.76},
+        {"order": 2, "lags": [3, 3], "value": -0.5},
+    ],
+}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.sampled_from(_FUZZ_BASES).flatmap(_one_key_mutation))
+    def test_config_or_config_error(self, payload):
+        try:
+            config = config_from_dict(payload)
+        except ConfigError:
+            return
+        assert config_from_dict(config_to_dict(config)) == config
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        text=st.one_of(
+            _one_key_mutation(_KERNEL).map(json.dumps),
+            st.text(max_size=40),
+        )
+    )
+    def test_kernel_file_channel_or_config_error(self, text, tmp_path):
+        path = tmp_path / "kernel.json"
+        path.write_text(text)
+        try:
+            channel = load_kernel_file(path)
+        except ConfigError:
+            return
+        assert isinstance(channel, Channel)
 
 
 class TestRunExperiment:

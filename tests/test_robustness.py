@@ -362,3 +362,21 @@ class TestTraceCsv:
         problems = verify_trace(read_trace_csv(path))
         assert problems
         assert any(f"k={records[target].k}" in p for p in problems)
+
+    def test_non_finite_field_rejected_on_read(self, tmp_path):
+        records = random_run(seed=12, iters=50)
+        path = tmp_path / "trace.csv"
+        write_trace_csv([dataclasses.replace(records[7], e=math.inf)] + records[8:], path)
+        with pytest.raises(ValueError, match=r"trace\.csv:2: column e is not finite"):
+            read_trace_csv(path)
+
+    def test_verify_trace_flags_nan_on_non_update_row(self):
+        # in memory, past the reader: the NaN row and every later prefix fail
+        records = random_run(seed=13, iters=200)
+        first = next(i for i, r in enumerate(records) if r.updated)
+        target = next(i for i, r in enumerate(records) if i > first and not r.updated)
+        corrupted = list(records)
+        corrupted[target] = dataclasses.replace(records[target], n=math.nan)
+        problems = verify_trace(corrupted)
+        assert any(f"k={records[target].k}:" in p for p in problems)
+        assert f"prefix K={len(records)}: global ratio" in problems[-1]

@@ -18,8 +18,6 @@ from dsvolterra import (
     generate_noise,
     load_kernel_file,
     position_of,
-    predict,
-    write_signal_csv,
 )
 
 
@@ -123,13 +121,13 @@ class TestBenchmarkChannel:
 
     def test_impulse_now(self):
         ch = benchmark_channel()
-        assert predict(ch.kernel, expand([1.0, 0.0, 0.0, 0.0], ch.config)) == pytest.approx(
+        assert ch.kernel @ expand([1.0, 0.0, 0.0, 0.0], ch.config) == pytest.approx(
             -0.26, rel=1e-12
         )
 
     def test_impulse_three_steps_back(self):
         ch = benchmark_channel()
-        assert predict(ch.kernel, expand([0.0, 0.0, 0.0, 1.0], ch.config)) == pytest.approx(
+        assert ch.kernel @ expand([0.0, 0.0, 0.0, 1.0], ch.config) == pytest.approx(
             -0.5, rel=1e-12
         )
 
@@ -193,16 +191,3 @@ class TestKernelFile:
         )
         with pytest.raises(ValueError):
             load_kernel_file(path)
-
-
-class TestSignalCsv:
-    def test_single_column_round_trip(self, tmp_path):
-        values = generate_input(SignalSpec("white_gaussian", seed=2), 64)
-        path = tmp_path / "trace.csv"
-        write_signal_csv(values, path)
-        text = path.read_text()
-        lines = text.splitlines()
-        assert lines[0] == "value"
-        assert "\r" not in text
-        back = np.array([float(v) for v in lines[1:]])
-        np.testing.assert_array_equal(back, values)
