@@ -113,53 +113,62 @@ def _in_transient(history: Sequence[bool], window_length: int, threshold: int) -
     return sum(flags) >= threshold
 
 
-def current_gamma(policy: ThresholdPolicy, update_history: Sequence[bool]) -> float:
-    """Threshold in force given the recent update flags."""
+def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
     if policy.mode == "fixed":
         return policy.gamma_fixed
-    transient = _in_transient(
-        update_history, policy.window_length, policy.steady_update_threshold
-    )
     tau = policy.tau_transient if transient else policy.tau_steady
     return math.sqrt(tau * policy.sigma_n_sq)
 
 
-def _checked_inputs(state: FilterState, d: float) -> tuple[float, ArrayF]:
+def current_gamma(policy: ThresholdPolicy, update_history: Sequence[bool]) -> float:
+    """Threshold in force given the recent update flags."""
+    transient = _in_transient(
+        update_history, policy.window_length, policy.steady_update_threshold
+    )
+    return _gamma(policy, transient)
+
+
+def _update(
+    w: ArrayF, x: ArrayF, desired: float, delta: float, gamma: float, mu: float | None
+) -> tuple[ArrayF, float, bool, float, float, float]:
+    """The update law shared by every step, streaming or batched.
+
+    Error e = d - w'x, normalization alpha = x'x + delta.  Without a constant
+    step size ``mu`` the step is data-selective: it moves only when |e|
+    strictly exceeds ``gamma``, with step weight 1 - gamma/|e|.  With ``mu``
+    every step counts as an update with step weight ``mu``.  A moving
+    estimate is replaced, never mutated, and an unchanged one is returned as
+    the same object.  Returns ``(w_next, e, updated, mu_bar, alpha, y_hat)``.
+    """
+    y_hat = float(w.dot(x))
+    e = desired - y_hat
+    alpha = float(x.dot(x)) + delta
+    if mu is None:
+        updated = abs(e) > gamma
+        mu_bar = 1.0 - gamma / abs(e) if updated else 0.0
+    else:
+        updated, mu_bar = True, mu
+    if updated and e != 0.0:
+        if alpha == 0.0:
+            raise NumericInputError(
+                "zero regressor energy with zero regularization; cannot normalize"
+            )
+        w = w + (mu_bar / alpha) * e * x
+    return w, e, updated, mu_bar, alpha, y_hat
+
+
+def _step(
+    state: FilterState, d: float, gamma: float, mu: float | None, transient: bool
+) -> StepOutcome:
     desired = float(d)
     if not math.isfinite(desired):
         raise NumericInputError(f"desired value must be finite, got {d!r}")
     x = expand(state.delay_line, state.config)
     if not np.isfinite(x).all():
         raise NumericInputError("regressor contains non-finite entries")
-    return desired, x
-
-
-def ds_vnlms_step(state: FilterState, d: float, policy: ThresholdPolicy) -> StepOutcome:
-    """One data-selective step against the sample already in the delay line.
-
-    The kernels move only when |e(k)| strictly exceeds the threshold in
-    force, with step weight 1 - gamma/|e(k)| and energy normalization
-    x'x + delta; at or below the threshold the estimate is left untouched.
-    The delay line is not advanced here (see :func:`push_sample`).
-    """
-    desired, x = _checked_inputs(state, d)
-    transient = _in_transient(
-        state.update_flags, policy.window_length, policy.steady_update_threshold
+    state.w, e, updated, mu_bar, alpha, y_hat = _update(
+        state.w, x, desired, state.config.regularization, gamma, mu
     )
-    gamma = current_gamma(policy, state.update_flags)
-    y_hat = float(state.w @ x)
-    e = desired - y_hat
-    alpha = float(x @ x) + state.config.regularization
-    updated = abs(e) > gamma
-    if updated:
-        if alpha == 0.0:
-            raise NumericInputError(
-                "zero regressor energy with zero regularization; cannot normalize"
-            )
-        mu_bar = 1.0 - gamma / abs(e)
-        state.w = state.w + (mu_bar / alpha) * e * x
-    else:
-        mu_bar = 0.0
     outcome = StepOutcome(
         k=state.k,
         e=e,
@@ -176,6 +185,20 @@ def ds_vnlms_step(state: FilterState, d: float, policy: ThresholdPolicy) -> Step
     return outcome
 
 
+def ds_vnlms_step(state: FilterState, d: float, policy: ThresholdPolicy) -> StepOutcome:
+    """One data-selective step against the sample already in the delay line.
+
+    The kernels move only when |e(k)| strictly exceeds the threshold in
+    force, with step weight 1 - gamma/|e(k)| and energy normalization
+    x'x + delta; at or below the threshold the estimate is left untouched.
+    The delay line is not advanced here (see :func:`push_sample`).
+    """
+    transient = _in_transient(
+        state.update_flags, policy.window_length, policy.steady_update_threshold
+    )
+    return _step(state, d, _gamma(policy, transient), None, transient)
+
+
 def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
     """One conventional normalized step: always update, constant step size.
 
@@ -184,31 +207,8 @@ def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
     """
     if not 0.0 < mu < 2.0:
         raise ValueError(f"step size must lie in (0, 2), got {mu!r}")
-    desired, x = _checked_inputs(state, d)
     transient = _in_transient(state.update_flags, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD)
-    y_hat = float(state.w @ x)
-    e = desired - y_hat
-    alpha = float(x @ x) + state.config.regularization
-    if e != 0.0:
-        if alpha == 0.0:
-            raise NumericInputError(
-                "zero regressor energy with zero regularization; cannot normalize"
-            )
-        state.w = state.w + (mu / alpha) * e * x
-    outcome = StepOutcome(
-        k=state.k,
-        e=e,
-        updated=True,
-        mu_bar=mu,
-        alpha=alpha,
-        gamma_used=0.0,
-        y_hat=y_hat,
-        in_transient=transient,
-        regressor=x,
-    )
-    state.k += 1
-    state.update_flags.append(True)
-    return outcome
+    return _step(state, d, 0.0, mu, transient)
 
 
 def gamma_for_known_bound(noise_bound: float) -> float:

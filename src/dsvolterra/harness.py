@@ -1,4 +1,4 @@
-"""End-to-end experiments: configs, built-in presets, streaming runs, emitted files.
+"""End-to-end experiments: configs, built-in presets, the trial engine, emitted files.
 
 An experiment wires a generated input and noise realization through one or
 more filter variants against the true channel, keeps the full per-iteration
@@ -22,20 +22,19 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTermError
+from .errors import ConfigError, InvalidTermError, NumericInputError
 from .filters import (
+    DEFAULT_STEADY_THRESHOLD,
     DEFAULT_WINDOW,
-    FilterState,
     ThresholdPolicy,
-    ds_vnlms_step,
-    push_sample,
-    vnlms_step,
+    _gamma,
+    _update,
 )
 from .robustness import (
     IterationRecord,
     RunVerdict,
+    block_records,
     format_float,
-    record_iteration,
     summarize_run,
     write_trace_csv,
 )
@@ -48,7 +47,15 @@ from .signals import (
     generate_input,
     generate_noise,
 )
-from .volterra import TermIndex, VolterraConfig, embed_kernel, position_of, term_at, total_dimension
+from .volterra import (
+    TermIndex,
+    VolterraConfig,
+    embed_kernel,
+    expand_series,
+    position_of,
+    term_at,
+    total_dimension,
+)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "DSVOLTERRA_OUT"
@@ -142,40 +149,91 @@ def _derive_seed(trial_seed: int, stream: int) -> int:
     )
 
 
+#: steps whose estimates are held until their ledger rows are built in bulk;
+#: bounds the engine's memory at O(block x D) however long the run
+_LEDGER_BLOCK = 512
+
+
 def _run_single(
-    volterra: VolterraConfig,
     algorithm: AlgorithmSpec,
+    regressors: np.ndarray,
     d: np.ndarray,
-    x: np.ndarray,
     n: np.ndarray,
     w_star: np.ndarray,
+    delta: float,
 ) -> list[IterationRecord]:
-    window = algorithm.policy.window_length if algorithm.policy else DEFAULT_WINDOW
-    state = FilterState(volterra, window_length=window)
+    """One variant over precomputed regressor rows: the streaming update law
+    step by step, the ledger in blocks of ``_LEDGER_BLOCK`` rows."""
+    if algorithm.kind == "ds_vnlms":
+        policy = algorithm.policy
+        mu, window, threshold = None, policy.window_length, policy.steady_update_threshold
+        gammas = (_gamma(policy, False), _gamma(policy, True))
+    else:
+        mu, window, threshold = algorithm.mu, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD
+        gammas = (0.0, 0.0)
+    # update flags of the last `window` steps, and how many of them are set
+    ring = [False] * window
+    count = 0
+    desired = d.tolist()
+    w = np.zeros(regressors.shape[1])
     records: list[IterationRecord] = []
-    for k in range(len(x)):
-        push_sample(state, x[k])
-        w_before = state.w
-        if algorithm.kind == "ds_vnlms":
-            outcome = ds_vnlms_step(state, d[k], algorithm.policy)
-        else:
-            outcome = vnlms_step(state, d[k], algorithm.mu)
-        records.append(record_iteration(w_star, w_before, state.w, outcome, n[k]))
+    for start in range(0, len(desired), _LEDGER_BLOCK):
+        stop = min(start + _LEDGER_BLOCK, len(desired))
+        estimates, version, steps = [w], [], []
+        for k in range(start, stop):
+            transient = k < window or count >= threshold
+            gamma = gammas[transient]
+            version.append(len(estimates) - 1)
+            # a fresh copy of the row, like the one the streaming path expands:
+            # BLAS dot products on an unaligned view of the matrix can round
+            # differently
+            w_next, e, updated, mu_bar, alpha, _ = _update(
+                w, regressors[k].copy(), desired[k], delta, gamma, mu
+            )
+            if w_next is not w:
+                w = w_next
+                estimates.append(w)
+            steps.append((e, updated, mu_bar, alpha, gamma, transient))
+            slot = k % window
+            count += updated - ring[slot]
+            ring[slot] = updated
+        records += block_records(
+            w_star, start, estimates, version, regressors[start:stop], n[start:stop], steps
+        )
     return records
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int) -> dict[str, list[IterationRecord]]:
-    """Run every variant on one shared realization of input and noise."""
+def _realization(config: ExperimentConfig, trial_seed: int):
+    """One trial's input x, noise n, true kernels w* in the filter layout and
+    desired signal d."""
     input_spec = dataclasses.replace(config.input, seed=_derive_seed(trial_seed, 0))
     noise_spec = dataclasses.replace(config.noise, seed=_derive_seed(trial_seed, 1))
     x = generate_input(input_spec, config.iterations)
     n = generate_noise(noise_spec, config.iterations)
     w_star = embed_kernel(config.channel.kernel, config.channel.config, config.volterra)
     d = desired_signal(Channel(w_star, config.volterra), x, n)
+    return x, n, w_star, d
+
+
+def _run_variants(
+    config: ExperimentConfig, x: np.ndarray, d: np.ndarray, n: np.ndarray, w_star: np.ndarray
+) -> dict[str, list[IterationRecord]]:
+    """Every variant on one realization, sharing one regressor matrix."""
+    regressors = expand_series(x, config.volterra)
+    if not np.isfinite(regressors).all():
+        raise NumericInputError("regressor contains non-finite entries")
+    if not np.isfinite(d).all():
+        raise NumericInputError("desired signal contains non-finite entries")
     return {
-        alg.label: _run_single(config.volterra, alg, d, x, n, w_star)
+        alg.label: _run_single(alg, regressors, d, n, w_star, config.volterra.regularization)
         for alg in config.algorithms
     }
+
+
+def run_trial(config: ExperimentConfig, trial_seed: int) -> dict[str, list[IterationRecord]]:
+    """Run every variant on one shared realization of input and noise."""
+    x, n, w_star, d = _realization(config, trial_seed)
+    return _run_variants(config, x, d, n, w_star)
 
 
 def _tau_for_bound(algorithm: AlgorithmSpec, noise: NoiseSpec) -> float | None:
@@ -410,17 +468,18 @@ def _channel_to_obj(channel: Channel):
         if value != 0.0:
             term = term_at(i, channel.config)
             terms.append({"order": term.order, "lags": list(term.lags), "value": value})
-    return {
-        "order": channel.config.order,
-        "memory": channel.config.memory,
-        "terms": terms,
-    }
+    out = {"order": channel.config.order, "memory": channel.config.memory, "terms": terms}
+    if channel.config != VolterraConfig(channel.config.order, channel.config.memory):
+        out["regularization"] = channel.config.regularization
+    return out
 
 
-def _channel_from_terms(obj, where: str, optional: set[str]) -> Channel:
-    """A channel from its layout and a sparse term list; ``optional`` names
-    the layout fields allowed beside ``order`` and ``memory``."""
-    _check_keys(obj, where, required={"order", "memory", "terms"}, optional=optional)
+def _channel_from_terms(obj, where: str) -> Channel:
+    """A channel from its layout (``order``, ``memory``, an optional
+    ``regularization``) and a sparse term list."""
+    _check_keys(
+        obj, where, required={"order", "memory", "terms"}, optional={"regularization"}
+    )
     layout = _spec_from_dict(
         VolterraConfig, {k: v for k, v in obj.items() if k != "terms"}, where
     )
@@ -456,7 +515,7 @@ def load_kernel_file(path) -> Channel:
          "terms": [{"order": 1, "lags": [0], "value": -0.76}, ...]}
     """
     path = Path(path)
-    return _channel_from_terms(_read_json(path), str(path), optional={"regularization"})
+    return _channel_from_terms(_read_json(path), str(path))
 
 
 def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
@@ -470,7 +529,7 @@ def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
         if base_path is not None and not path.is_absolute():
             path = base_path / path
         return load_kernel_file(path)
-    return _channel_from_terms(obj, where, optional=set())
+    return _channel_from_terms(obj, where)
 
 
 def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) -> dict:

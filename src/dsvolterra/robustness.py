@@ -148,6 +148,56 @@ def record_iteration(
     )
 
 
+def block_records(
+    w_star: ArrayF,
+    k0: int,
+    estimates: Sequence[ArrayF],
+    version: Sequence[int],
+    regressors: ArrayF,
+    noise: ArrayF,
+    steps: Sequence[tuple],
+) -> list[IterationRecord]:
+    """Ledger rows for consecutive steps ``k0, k0 + 1, ...``: the arithmetic
+    of :func:`record_iteration` as array operations over a block.
+
+    ``estimates`` are the distinct estimates in force during the block, the
+    first before its first step and the last after its last step;
+    ``version[i]`` indexes the estimate before step ``i``.  ``steps[i]`` is
+    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  Each estimate's
+    deviation energy is computed once, so a step that leaves the estimate
+    unchanged keeps its energy exactly.
+    """
+    deviation = w_star - np.array(estimates)
+    energy = np.einsum("ij,ij->i", deviation, deviation)
+    before_version = np.asarray(version)
+    after_version = np.append(before_version[1:], len(estimates) - 1)
+    e_tilde = np.einsum("ij,ij->i", deviation[before_version], regressors)
+    e, updated, mu_bar, alpha, gamma_used, in_transient = zip(*steps)
+    weight = np.divide(mu_bar, alpha, out=np.zeros(len(steps)), where=np.array(updated))
+    before = energy[before_version]
+    after = energy[after_version]
+    lhs = after + weight * e_tilde**2
+    rhs = before + weight * noise**2
+    return list(
+        map(
+            IterationRecord,
+            range(k0, k0 + len(steps)),
+            e,
+            e_tilde.tolist(),
+            noise.tolist(),
+            updated,
+            mu_bar,
+            alpha,
+            gamma_used,
+            before.tolist(),
+            after.tolist(),
+            lhs.tolist(),
+            rhs.tolist(),
+            in_transient,
+        )
+    )
+
+
 def check_local(record: IterationRecord) -> bool:
     """Local energy certificate for one row: strictly below with relative
     slack when an update happened, equality to rounding otherwise."""

@@ -21,9 +21,32 @@ from .errors import DimensionMismatchError, InvalidTermError
 
 ArrayF = npt.NDArray[np.float64]
 
-# A term table beyond this would exhaust memory; refuse early instead of
-# letting index arithmetic or an allocation fail somewhere deep.
+# A term table beyond these would exhaust memory; refuse early instead of
+# letting index arithmetic or an allocation fail somewhere deep.  The lag
+# count bounds tables of few but long terms, such as high orders at memory 0.
 _MAX_DIMENSION = 2_000_000
+_MAX_LAG_ENTRIES = 20_000_000
+
+
+def _count_terms(order: int, memory: int) -> int:
+    """Number of kernel terms, sum over p = 1..order of C(memory + p, p).
+
+    Raises ``ValueError`` as soon as the count passes ``_MAX_DIMENSION``, or
+    the term table's lag entries, sum over p of p * C(memory + p, p), pass
+    ``_MAX_LAG_ENTRIES``; so an absurd order is refused at once.
+    """
+    terms = lags = 0
+    for p in range(1, order + 1):
+        block = math.comb(memory + p, p)
+        terms += block
+        lags += p * block
+        if terms > _MAX_DIMENSION or lags > _MAX_LAG_ENTRIES:
+            raise ValueError(
+                f"(order={order}, memory={memory}) expands to more than"
+                f" {_MAX_DIMENSION} terms or {_MAX_LAG_ENTRIES} term lags,"
+                " beyond the supported maximum"
+            )
+    return terms
 
 
 @dataclass(frozen=True)
@@ -51,12 +74,7 @@ class VolterraConfig:
                 f"regularization must be finite and >= 0, got {self.regularization!r}"
             )
         object.__setattr__(self, "regularization", delta)
-        dim = sum(math.comb(self.memory + p, p) for p in range(1, self.order + 1))
-        if dim > _MAX_DIMENSION:
-            raise ValueError(
-                f"(order={self.order}, memory={self.memory}) expands to {dim} terms,"
-                f" beyond the supported maximum of {_MAX_DIMENSION}"
-            )
+        _count_terms(self.order, self.memory)
 
     @property
     def taps(self) -> int:
@@ -99,7 +117,7 @@ def _layout(order: int, memory: int):
 
 def total_dimension(config: VolterraConfig) -> int:
     """Number of kernel terms: sum over p of C(memory + p, p), exact integers."""
-    return sum(math.comb(config.memory + p, p) for p in range(1, config.order + 1))
+    return _count_terms(config.order, config.memory)
 
 
 def position_of(term: TermIndex, config: VolterraConfig) -> int:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,22 @@ class TestDims:
 
     def test_invalid_layout_is_usage_error(self, capsys):
         assert main(["dims", "0", "1"]) == EXIT_USAGE
+
+    # a huge order, and a memory-0 layout within the term limit whose lag
+    # table would still need O(order^2) memory
+    @pytest.mark.parametrize("order, memory", [(100_000_000, 3), (2_000_000, 0)])
+    def test_huge_layout_rejected_at_once(self, order, memory, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["dims", str(order), str(memory)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        config = {**SMALL_CONFIG, "volterra": {"order": order, "memory": memory}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        start = time.perf_counter()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "beyond the supported maximum" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPresets:

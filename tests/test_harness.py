@@ -212,6 +212,21 @@ class TestConfigSerialization:
         config = load_config(config_path)
         assert config.channel.kernel[0] == 1.0
 
+    def test_kernel_file_regularization_survives_round_trip(self, tmp_path):
+        (tmp_path / "kernel.json").write_text(
+            '{"order": 2, "memory": 2, "regularization": 0.5,'
+            ' "terms": [{"order": 1, "lags": [0], "value": 1.0}]}'
+        )
+        payload = config_to_dict(small_config())
+        payload["channel"] = {"kernel_file": "kernel.json"}
+        (tmp_path / "config.json").write_text(json.dumps(payload))
+        config = load_config(tmp_path / "config.json")
+        assert config.channel.config.regularization == 0.5
+        assert config_to_dict(config)["channel"]["regularization"] == 0.5
+        assert config_from_dict(config_to_dict(config)) == config
+        save_config(config, tmp_path / "saved.json")
+        assert load_config(tmp_path / "saved.json") == config
+
     def test_save_and_load(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
