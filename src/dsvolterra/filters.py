@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -106,11 +106,15 @@ def push_sample(state: FilterState, x_new: float) -> FilterState:
     return state
 
 
+def _transient(seen: int, updates: int, window_length: int, threshold: int) -> bool:
+    """The detector: transient until ``window_length`` flags have been seen,
+    then while at least ``threshold`` of the last ``window_length`` are set."""
+    return seen < window_length or updates >= threshold
+
+
 def _in_transient(history: Sequence[bool], window_length: int, threshold: int) -> bool:
     flags = list(history)[-window_length:]
-    if len(flags) < window_length:
-        return True
-    return sum(flags) >= threshold
+    return _transient(len(flags), sum(flags), window_length, threshold)
 
 
 def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
@@ -205,10 +209,67 @@ def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
     Shares the normalization alpha = x'x + delta with the data-selective
     update so the two algorithms are comparable under one regularization.
     """
-    if not 0.0 < mu < 2.0:
-        raise ValueError(f"step size must lie in (0, 2), got {mu!r}")
+    _check_step_size(mu)
     transient = _in_transient(state.update_flags, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD)
     return _step(state, d, 0.0, mu, transient)
+
+
+def _check_step_size(mu: float) -> None:
+    if not 0.0 < mu < 2.0:
+        raise ValueError(f"step size must lie in (0, 2), got {mu!r}")
+
+
+#: rows per block yielded by :func:`run_rows`; bounds the estimates it holds
+#: at O(block x D) however long the run
+ROW_BLOCK = 512
+
+
+def run_rows(
+    regressors: ArrayF, desired: ArrayF, delta: float, law: ThresholdPolicy | float
+) -> Iterator[tuple[int, list[ArrayF], list[int], list[tuple]]]:
+    """A whole run over precomputed, finite regressor rows, from the zero
+    estimate: the steps :func:`ds_vnlms_step` (``law`` a policy) or
+    :func:`vnlms_step` (``law`` a step size) take on the same rows.
+
+    Yields ``(k0, estimates, version, steps)`` per block of at most
+    ``ROW_BLOCK`` steps from ``k0`` on: the distinct estimates in force (the
+    first before step ``k0``, the last after the block), the index into them
+    of the estimate before each step, and each step's
+    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  The update
+    flags of the last ``window`` steps are kept in a ring with their count.
+    """
+    if isinstance(law, ThresholdPolicy):
+        mu = None
+        window, threshold = law.window_length, law.steady_update_threshold
+        gammas = (_gamma(law, False), _gamma(law, True))
+    else:
+        _check_step_size(law)
+        mu, window, threshold = law, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD
+        gammas = (0.0, 0.0)
+    ring = [False] * window
+    count = 0
+    d = np.asarray(desired, dtype=np.float64).tolist()
+    w = np.zeros(regressors.shape[1])
+    for k0 in range(0, len(d), ROW_BLOCK):
+        estimates, version, steps = [w], [], []
+        for k in range(k0, min(k0 + ROW_BLOCK, len(d))):
+            transient = _transient(k, count, window, threshold)
+            gamma = gammas[transient]
+            version.append(len(estimates) - 1)
+            # a fresh copy of the row, like the one the streaming path expands:
+            # BLAS dot products on an unaligned view of the matrix can round
+            # differently
+            w_next, e, updated, mu_bar, alpha, _ = _update(
+                w, regressors[k].copy(), d[k], delta, gamma, mu
+            )
+            if w_next is not w:
+                w = w_next
+                estimates.append(w)
+            steps.append((e, updated, mu_bar, alpha, gamma, transient))
+            slot = k % window
+            count += updated - ring[slot]
+            ring[slot] = updated
+        yield k0, estimates, version, steps
 
 
 def gamma_for_known_bound(noise_bound: float) -> float:

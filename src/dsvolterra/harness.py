@@ -23,13 +23,7 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
-from .filters import (
-    DEFAULT_STEADY_THRESHOLD,
-    DEFAULT_WINDOW,
-    ThresholdPolicy,
-    _gamma,
-    _update,
-)
+from .filters import ThresholdPolicy, run_rows
 from .robustness import (
     IterationRecord,
     RunVerdict,
@@ -43,7 +37,6 @@ from .signals import (
     NoiseSpec,
     SignalSpec,
     benchmark_channel,
-    desired_signal,
     generate_input,
     generate_noise,
 )
@@ -149,11 +142,6 @@ def _derive_seed(trial_seed: int, stream: int) -> int:
     )
 
 
-#: steps whose estimates are held until their ledger rows are built in bulk;
-#: bounds the engine's memory at O(block x D) however long the run
-_LEDGER_BLOCK = 512
-
-
 def _run_single(
     algorithm: AlgorithmSpec,
     regressors: np.ndarray,
@@ -162,64 +150,39 @@ def _run_single(
     w_star: np.ndarray,
     delta: float,
 ) -> list[IterationRecord]:
-    """One variant over precomputed regressor rows: the streaming update law
-    step by step, the ledger in blocks of ``_LEDGER_BLOCK`` rows."""
-    if algorithm.kind == "ds_vnlms":
-        policy = algorithm.policy
-        mu, window, threshold = None, policy.window_length, policy.steady_update_threshold
-        gammas = (_gamma(policy, False), _gamma(policy, True))
-    else:
-        mu, window, threshold = algorithm.mu, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD
-        gammas = (0.0, 0.0)
-    # update flags of the last `window` steps, and how many of them are set
-    ring = [False] * window
-    count = 0
-    desired = d.tolist()
-    w = np.zeros(regressors.shape[1])
+    """One variant over precomputed regressor rows, its ledger built per
+    block of rows."""
+    law = algorithm.policy if algorithm.kind == "ds_vnlms" else algorithm.mu
     records: list[IterationRecord] = []
-    for start in range(0, len(desired), _LEDGER_BLOCK):
-        stop = min(start + _LEDGER_BLOCK, len(desired))
-        estimates, version, steps = [w], [], []
-        for k in range(start, stop):
-            transient = k < window or count >= threshold
-            gamma = gammas[transient]
-            version.append(len(estimates) - 1)
-            # a fresh copy of the row, like the one the streaming path expands:
-            # BLAS dot products on an unaligned view of the matrix can round
-            # differently
-            w_next, e, updated, mu_bar, alpha, _ = _update(
-                w, regressors[k].copy(), desired[k], delta, gamma, mu
-            )
-            if w_next is not w:
-                w = w_next
-                estimates.append(w)
-            steps.append((e, updated, mu_bar, alpha, gamma, transient))
-            slot = k % window
-            count += updated - ring[slot]
-            ring[slot] = updated
+    for k0, estimates, version, steps in run_rows(regressors, d, delta, law):
+        rows = slice(k0, k0 + len(steps))
         records += block_records(
-            w_star, start, estimates, version, regressors[start:stop], n[start:stop], steps
+            w_star, k0, estimates, version, regressors[rows], n[rows], steps
         )
     return records
 
 
 def _realization(config: ExperimentConfig, trial_seed: int):
-    """One trial's input x, noise n, true kernels w* in the filter layout and
-    desired signal d."""
+    """One trial's input x, its regressor matrix X in the filter layout, noise
+    n, true kernels w* in the filter layout and desired signal d = X w* + n
+    (the channel response of :func:`signals.desired_signal`)."""
     input_spec = dataclasses.replace(config.input, seed=_derive_seed(trial_seed, 0))
     noise_spec = dataclasses.replace(config.noise, seed=_derive_seed(trial_seed, 1))
     x = generate_input(input_spec, config.iterations)
     n = generate_noise(noise_spec, config.iterations)
     w_star = embed_kernel(config.channel.kernel, config.channel.config, config.volterra)
-    d = desired_signal(Channel(w_star, config.volterra), x, n)
-    return x, n, w_star, d
+    regressors = expand_series(x, config.volterra)
+    return x, regressors, n, w_star, regressors @ w_star + n
 
 
 def _run_variants(
-    config: ExperimentConfig, x: np.ndarray, d: np.ndarray, n: np.ndarray, w_star: np.ndarray
+    config: ExperimentConfig,
+    regressors: np.ndarray,
+    d: np.ndarray,
+    n: np.ndarray,
+    w_star: np.ndarray,
 ) -> dict[str, list[IterationRecord]]:
-    """Every variant on one realization, sharing one regressor matrix."""
-    regressors = expand_series(x, config.volterra)
+    """Every variant on one realization, sharing its regressor matrix."""
     if not np.isfinite(regressors).all():
         raise NumericInputError("regressor contains non-finite entries")
     if not np.isfinite(d).all():
@@ -232,8 +195,8 @@ def _run_variants(
 
 def run_trial(config: ExperimentConfig, trial_seed: int) -> dict[str, list[IterationRecord]]:
     """Run every variant on one shared realization of input and noise."""
-    x, n, w_star, d = _realization(config, trial_seed)
-    return _run_variants(config, x, d, n, w_star)
+    _, regressors, n, w_star, d = _realization(config, trial_seed)
+    return _run_variants(config, regressors, d, n, w_star)
 
 
 def _tau_for_bound(algorithm: AlgorithmSpec, noise: NoiseSpec) -> float | None:
@@ -468,21 +431,18 @@ def _channel_to_obj(channel: Channel):
         if value != 0.0:
             term = term_at(i, channel.config)
             terms.append({"order": term.order, "lags": list(term.lags), "value": value})
-    out = {"order": channel.config.order, "memory": channel.config.memory, "terms": terms}
-    if channel.config != VolterraConfig(channel.config.order, channel.config.memory):
-        out["regularization"] = channel.config.regularization
-    return out
+    return {"order": channel.config.order, "memory": channel.config.memory, "terms": terms}
 
 
-def _channel_from_terms(obj, where: str) -> Channel:
-    """A channel from its layout (``order``, ``memory``, an optional
-    ``regularization``) and a sparse term list."""
-    _check_keys(
-        obj, where, required={"order", "memory", "terms"}, optional={"regularization"}
-    )
-    layout = _spec_from_dict(
+def _channel_from_terms(obj, where: str, optional: set[str]) -> Channel:
+    """A channel from its layout (``order``, ``memory``) and a sparse term
+    list; a channel has no regularization of its own, so one among the
+    ``optional`` keys is checked but not kept."""
+    _check_keys(obj, where, required={"order", "memory", "terms"}, optional=optional)
+    given = _spec_from_dict(
         VolterraConfig, {k: v for k, v in obj.items() if k != "terms"}, where
     )
+    layout = VolterraConfig(given.order, given.memory)
     kernel = np.zeros(total_dimension(layout))
     for i, entry in enumerate(_typed(obj["terms"], list, f"{where}.terms")):
         at = f"{where}.terms[{i}]"
@@ -506,8 +466,8 @@ def _read_json(path: Path):
 
 
 def load_kernel_file(path) -> Channel:
-    """Read a channel from JSON: ``order``, ``memory``, an optional
-    ``regularization`` and a sparse term list.
+    """Read a channel from JSON: ``order``, ``memory`` and a sparse term list.
+    An optional ``regularization`` is accepted and ignored.
 
     Schema::
 
@@ -515,7 +475,7 @@ def load_kernel_file(path) -> Channel:
          "terms": [{"order": 1, "lags": [0], "value": -0.76}, ...]}
     """
     path = Path(path)
-    return _channel_from_terms(_read_json(path), str(path))
+    return _channel_from_terms(_read_json(path), str(path), optional={"regularization"})
 
 
 def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
@@ -529,7 +489,7 @@ def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
         if base_path is not None and not path.is_absolute():
             path = base_path / path
         return load_kernel_file(path)
-    return _channel_from_terms(obj, where)
+    return _channel_from_terms(obj, where, optional=set())
 
 
 def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) -> dict:

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from dsvolterra import (
+    Channel,
     FilterState,
     NumericInputError,
+    desired_signal,
     ds_vnlms_step,
+    expand_series,
     push_sample,
     record_iteration,
     vnlms_step,
@@ -64,7 +67,7 @@ def test_engine_matches_streaming_oracle(name):
     # (in_transient, gamma_used) pairs seen by the time-varying variants
     threshold_states = set()
     for seed in SEEDS:
-        x, n, w_star, d = harness._realization(config, seed)
+        x, _, n, w_star, d = harness._realization(config, seed)
         engine = harness.run_trial(config, seed)
         for algorithm in config.algorithms:
             where = (name, seed, algorithm.label)
@@ -95,8 +98,17 @@ def test_engine_matches_streaming_oracle(name):
 @pytest.mark.parametrize("signal", ["x", "d"])
 def test_non_finite_input_rejected(signal):
     config = _config("fig5")
-    x, n, w_star, d = harness._realization(config, 1)
+    x, _, n, w_star, d = harness._realization(config, 1)
     inputs = {"x": x.copy(), "d": d.copy()}
     inputs[signal][ITERATIONS // 2] = np.nan
+    regressors = expand_series(inputs["x"], config.volterra)
     with pytest.raises(NumericInputError):
-        harness._run_variants(config, inputs["x"], inputs["d"], n, w_star)
+        harness._run_variants(config, regressors, inputs["d"], n, w_star)
+
+
+def test_desired_signal_is_the_channel_response():
+    config = _config("fig1a")
+    x, regressors, n, w_star, d = harness._realization(config, 1)
+    channel = Channel(w_star, config.volterra)
+    assert np.array_equal(regressors, expand_series(x, config.volterra))
+    assert np.array_equal(d, desired_signal(channel, x, n))

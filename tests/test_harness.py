@@ -212,7 +212,7 @@ class TestConfigSerialization:
         config = load_config(config_path)
         assert config.channel.kernel[0] == 1.0
 
-    def test_kernel_file_regularization_survives_round_trip(self, tmp_path):
+    def test_kernel_file_with_regularization_round_trips(self, tmp_path):
         (tmp_path / "kernel.json").write_text(
             '{"order": 2, "memory": 2, "regularization": 0.5,'
             ' "terms": [{"order": 1, "lags": [0], "value": 1.0}]}'
@@ -221,11 +221,16 @@ class TestConfigSerialization:
         payload["channel"] = {"kernel_file": "kernel.json"}
         (tmp_path / "config.json").write_text(json.dumps(payload))
         config = load_config(tmp_path / "config.json")
-        assert config.channel.config.regularization == 0.5
-        assert config_to_dict(config)["channel"]["regularization"] == 0.5
+        # a channel's layout is its order and memory only
+        assert config.channel.config == VolterraConfig(2, 2)
+        assert "regularization" not in config_to_dict(config)["channel"]
         assert config_from_dict(config_to_dict(config)) == config
         save_config(config, tmp_path / "saved.json")
         assert load_config(tmp_path / "saved.json") == config
+        # the inline form has no regularization key
+        payload["channel"] = {**config_to_dict(config)["channel"], "regularization": 0.5}
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(payload)
 
     def test_save_and_load(self, tmp_path):
         config = small_config()
