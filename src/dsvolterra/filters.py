@@ -12,9 +12,6 @@ import numpy as np
 from .errors import NumericInputError
 from .volterra import ArrayF, VolterraConfig, expand, total_dimension
 
-DEFAULT_WINDOW = 20
-DEFAULT_STEADY_THRESHOLD = 5
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -33,8 +30,8 @@ class ThresholdPolicy:
     sigma_n_sq: float = 0.01
     tau_transient: float = 5.0
     tau_steady: float = 9.0
-    window_length: int = DEFAULT_WINDOW
-    steady_update_threshold: int = DEFAULT_STEADY_THRESHOLD
+    window_length: int = 20
+    steady_update_threshold: int = 5
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "time_varying"):
@@ -83,16 +80,18 @@ class FilterState:
     """Single-owner streaming state: current estimate, delay line, iteration
     counter and the recent update flags driving the transient detector.
 
-    Steps replace ``w`` with a fresh array instead of mutating it, so a
-    reference taken before a step stays valid as the previous estimate.
+    The flag history holds the data-selective steps' flags, at most the
+    ``window_length`` of the policy the last step was given.  Steps replace
+    ``w`` with a fresh array instead of mutating it, so a reference taken
+    before a step stays valid as the previous estimate.
     """
 
-    def __init__(self, config: VolterraConfig, window_length: int = DEFAULT_WINDOW):
+    def __init__(self, config: VolterraConfig):
         self.config = config
         self.w: ArrayF = np.zeros(total_dimension(config))
         self.delay_line: ArrayF = np.zeros(config.taps)
         self.k = 0
-        self.update_flags: deque[bool] = deque(maxlen=window_length)
+        self.update_flags: deque[bool] = deque()
 
 
 def push_sample(state: FilterState, x_new: float) -> FilterState:
@@ -112,11 +111,6 @@ def _transient(seen: int, updates: int, window_length: int, threshold: int) -> b
     return seen < window_length or updates >= threshold
 
 
-def _in_transient(history: Sequence[bool], window_length: int, threshold: int) -> bool:
-    flags = list(history)[-window_length:]
-    return _transient(len(flags), sum(flags), window_length, threshold)
-
-
 def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
     if policy.mode == "fixed":
         return policy.gamma_fixed
@@ -126,10 +120,11 @@ def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
 
 def current_gamma(policy: ThresholdPolicy, update_history: Sequence[bool]) -> float:
     """Threshold in force given the recent update flags."""
-    transient = _in_transient(
-        update_history, policy.window_length, policy.steady_update_threshold
+    window = policy.window_length
+    flags = list(update_history)[-window:]
+    return _gamma(
+        policy, _transient(len(flags), sum(flags), window, policy.steady_update_threshold)
     )
-    return _gamma(policy, transient)
 
 
 def _update(
@@ -185,7 +180,6 @@ def _step(
         regressor=x,
     )
     state.k += 1
-    state.update_flags.append(updated)
     return outcome
 
 
@@ -195,12 +189,17 @@ def ds_vnlms_step(state: FilterState, d: float, policy: ThresholdPolicy) -> Step
     The kernels move only when |e(k)| strictly exceeds the threshold in
     force, with step weight 1 - gamma/|e(k)| and energy normalization
     x'x + delta; at or below the threshold the estimate is left untouched.
-    The delay line is not advanced here (see :func:`push_sample`).
+    The delay line is not advanced here (see :func:`push_sample`).  The
+    transient detector reads the last ``policy.window_length`` update flags.
     """
-    transient = _in_transient(
-        state.update_flags, policy.window_length, policy.steady_update_threshold
-    )
-    return _step(state, d, _gamma(policy, transient), None, transient)
+    window = policy.window_length
+    flags = state.update_flags
+    if flags.maxlen != window:
+        flags = state.update_flags = deque(flags, maxlen=window)
+    transient = _transient(len(flags), sum(flags), window, policy.steady_update_threshold)
+    outcome = _step(state, d, _gamma(policy, transient), None, transient)
+    flags.append(outcome.updated)
+    return outcome
 
 
 def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
@@ -208,10 +207,11 @@ def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
 
     Shares the normalization alpha = x'x + delta with the data-selective
     update so the two algorithms are comparable under one regularization.
+    It runs no transient detector: every step updates, and every step is
+    reported as transient.
     """
     _check_step_size(mu)
-    transient = _in_transient(state.update_flags, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD)
-    return _step(state, d, 0.0, mu, transient)
+    return _step(state, d, 0.0, mu, True)
 
 
 def _check_step_size(mu: float) -> None:
@@ -235,8 +235,9 @@ def run_rows(
     ``ROW_BLOCK`` steps from ``k0`` on: the distinct estimates in force (the
     first before step ``k0``, the last after the block), the index into them
     of the estimate before each step, and each step's
-    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  The update
-    flags of the last ``window`` steps are kept in a ring with their count.
+    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  For a policy
+    the update flags of its last ``window_length`` steps are kept in a ring
+    with their count; a step size runs no detector, every step is transient.
     """
     if isinstance(law, ThresholdPolicy):
         mu = None
@@ -244,8 +245,9 @@ def run_rows(
         gammas = (_gamma(law, False), _gamma(law, True))
     else:
         _check_step_size(law)
-        mu, window, threshold = law, DEFAULT_WINDOW, DEFAULT_STEADY_THRESHOLD
+        mu, window, threshold = law, 0, 0
         gammas = (0.0, 0.0)
+    transient = True
     ring = [False] * window
     count = 0
     d = np.asarray(desired, dtype=np.float64).tolist()
@@ -253,7 +255,8 @@ def run_rows(
     for k0 in range(0, len(d), ROW_BLOCK):
         estimates, version, steps = [w], [], []
         for k in range(k0, min(k0 + ROW_BLOCK, len(d))):
-            transient = _transient(k, count, window, threshold)
+            if mu is None:
+                transient = _transient(k, count, window, threshold)
             gamma = gammas[transient]
             version.append(len(estimates) - 1)
             # a fresh copy of the row, like the one the streaming path expands:
@@ -266,9 +269,10 @@ def run_rows(
                 w = w_next
                 estimates.append(w)
             steps.append((e, updated, mu_bar, alpha, gamma, transient))
-            slot = k % window
-            count += updated - ring[slot]
-            ring[slot] = updated
+            if mu is None:
+                slot = k % window
+                count += updated - ring[slot]
+                ring[slot] = updated
         yield k0, estimates, version, steps
 
 

@@ -241,13 +241,16 @@ def prefix_ratios(records: Sequence[IterationRecord], wtilde_sq_initial: float) 
 
     Prefixes whose disturbance energy is still zero yield NaN.
     """
-    weights = np.array([r.mu_bar / r.alpha if r.updated else 0.0 for r in records])
-    e2 = np.array([r.e_tilde**2 for r in records])
-    n2 = np.array([r.n**2 for r in records])
-    after = np.array([r.wtilde_sq_after for r in records])
-    num = after + np.cumsum(weights * e2)
-    den = float(wtilde_sq_initial) + np.cumsum(weights * n2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    updated = np.array([r.updated for r in records], dtype=bool)
+    mu_bar, alpha, e_tilde, n, after = np.array(
+        [(r.mu_bar, r.alpha, r.e_tilde, r.n, r.wtilde_sq_after) for r in records]
+    ).reshape(-1, 5).T
+    # a read-back trace may hold any finite values: overflow and a zero alpha
+    # give inf or NaN ratios, which the callers treat as violations
+    with np.errstate(all="ignore"):
+        weights = np.divide(mu_bar, alpha, out=np.zeros(len(records)), where=updated)
+        num = after + np.cumsum(weights * (e_tilde * e_tilde))
+        den = float(wtilde_sq_initial) + np.cumsum(weights * (n * n))
         return np.where(den == 0.0, np.nan, num / den)
 
 
@@ -261,60 +264,13 @@ def monotonicity_stats(records: Sequence[IterationRecord]) -> tuple[int, float, 
     return count, fraction, in_transient
 
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def _erfc(x: float) -> float:
-    """Complementary error function, accurate to better than 1e-13.
-
-    Maclaurin series of erf below 2; Gauss continued fraction evaluated by
-    modified Lentz above.  Implemented locally so the certificate thresholds
-    do not depend on any particular math library build.
-    """
-    if x < 0.0:
-        return 2.0 - _erfc(-x)
-    if x == 0.0:
-        return 1.0
-    if x < 2.0:
-        # erf(x) = 2/sqrt(pi) * sum_m (-1)^m x^(2m+1) / (m! (2m+1))
-        total = 0.0
-        term = x  # x^(2m+1) / m!
-        m = 0
-        while True:
-            total += term / (2 * m + 1)
-            m += 1
-            term *= -(x * x) / m
-            if abs(term) / (2 * m + 1) <= 1e-17 * abs(total):
-                break
-        return 1.0 - (2.0 / _SQRT_PI) * total
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    f = x
-    c = f
-    d = 0.0
-    for m in range(1, 300):
-        a = m / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
-
-
 def erfc_bound(tau: float) -> float:
     """Upper bound on the probability of a deviation-energy increase when the
     threshold is sqrt(tau * sigma_n_sq): the Gaussian tail erfc(sqrt(tau/2))."""
     t = float(tau)
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    return _erfc(math.sqrt(t / 2.0))
+    return math.erfc(math.sqrt(t / 2.0))
 
 
 def summarize_run(
@@ -383,10 +339,17 @@ def write_trace_csv(records: Sequence[IterationRecord], path) -> None:
 
 def read_trace_csv(path) -> list[IterationRecord]:
     """Read back a trace written by :func:`write_trace_csv`; every field must
-    be a finite number."""
-    lines = Path(path).read_text().splitlines()
+    be a finite number and ``updated`` 0 or 1.  A ``ValueError`` names the
+    path and line of the first fault."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+    lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-        raise ValueError(f"{path}: not a trace CSV (bad or missing header)")
+        raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -400,22 +363,42 @@ def read_trace_csv(path) -> list[IterationRecord]:
         if not all(map(math.isfinite, values)):
             column = next(c for c, v in zip(TRACE_COLUMNS[1:], values) if not math.isfinite(v))
             raise ValueError(f"{path}:{lineno}: column {column} is not finite")
-        values[3] = parts[4] == "1"  # the updated flag
+        if parts[4] not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: column updated must be 0 or 1")
+        values[3] = parts[4] == "1"
         records.append(IterationRecord(k, *values))
     return records
 
 
 def verify_trace(records: Sequence[IterationRecord]) -> list[str]:
-    """Re-check a ledger: row arithmetic, the error decomposition, the local
-    certificate on every row, and the prefix ratio wherever at least one
-    update has happened (an undefined ratio there is a violation).  Any NaN
-    field fails its checks.  Returns violation messages; empty means the
-    trace certifies."""
+    """Re-check a ledger: rows numbered k = 0..K-1, each row's deviation
+    energy before equal to the previous row's after, row arithmetic, the error
+    decomposition, the local certificate on every row, and the prefix ratio
+    wherever at least one update has happened (an undefined ratio there is a
+    violation).  Any NaN field fails its checks.  Returns violation messages;
+    empty means the trace certifies."""
     problems: list[str] = []
+    expected_k = 0
+    previous = None
     for r in records:
+        if r.k != expected_k:
+            problems.append(f"row k={r.k}: expected k={expected_k}, rows must run k = 0..K-1")
+        expected_k = r.k + 1
+        # exact: record_iteration and block_records carry the energy over
+        # unchanged, and the 17-digit CSV round-trips it
+        if previous is not None and not r.wtilde_sq_before == previous.wtilde_sq_after:
+            problems.append(
+                f"row k={r.k}: wtilde_sq_before={r.wtilde_sq_before!r} is not the"
+                f" previous row's wtilde_sq_after={previous.wtilde_sq_after!r}"
+            )
+        previous = r
+        if r.updated and not r.alpha > 0.0:
+            problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
+            continue
         weight = (r.mu_bar / r.alpha) if r.updated else 0.0
-        lhs_expected = r.wtilde_sq_after + weight * r.e_tilde**2
-        rhs_expected = r.wtilde_sq_before + weight * r.n**2
+        # products, not powers: a huge finite field overflows to inf, not an error
+        lhs_expected = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
+        rhs_expected = r.wtilde_sq_before + weight * (r.n * r.n)
         # written as "not <=" so that a NaN anywhere counts as a mismatch
         if not (
             abs(r.lhs - lhs_expected) <= EQUALITY_RTOL * max(1.0, abs(lhs_expected))
@@ -436,5 +419,5 @@ def verify_trace(records: Sequence[IterationRecord]) -> list[str]:
         updates = np.cumsum([1 if r.updated else 0 for r in records])
         for i, (ratio, n_up) in enumerate(zip(ratios, updates)):
             if n_up >= 1 and not ratio < 1.0 + LOCAL_SLACK:
-                problems.append(f"prefix K={i + 1}: global ratio {ratio!r} not below one")
+                problems.append(f"prefix K={i + 1}: global ratio {float(ratio)!r} not below one")
     return problems

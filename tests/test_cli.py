@@ -205,6 +205,24 @@ class TestCheck:
         err = capsys.readouterr().err
         assert f"{trace}:{target + 2}: column {column} is not finite" in err
 
+    @pytest.mark.parametrize("removed", ["one_mid_run_update", "first_ten_updates"])
+    def test_trace_with_rows_removed_fails(self, small_config_path, tmp_path, capsys, removed):
+        # every remaining row still checks on its own; only the numbering and
+        # the deviation-energy chain show the gap
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        trace = out_dir / "trial_000" / "ds" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        column = lines[0].split(",").index("updated")
+        updates = [i for i, line in enumerate(lines) if line.split(",")[column] == "1"]
+        if removed == "one_mid_run_update":
+            drop = {updates[len(updates) // 2]}
+        else:
+            drop = set(updates[:10])
+        trace.write_text("\n".join(l for i, l in enumerate(lines) if i not in drop) + "\n")
+        assert main(["check", str(trace)]) == EXIT_VERIFICATION
+        assert "rows must run k = 0..K-1" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.csv")]) == EXIT_IO
 

@@ -15,15 +15,24 @@ import pytest
 from dsvolterra import (
     Channel,
     FilterState,
+    NoiseSpec,
     NumericInputError,
+    SignalSpec,
+    ThresholdPolicy,
+    VolterraConfig,
+    benchmark_channel,
     desired_signal,
     ds_vnlms_step,
+    embed_kernel,
     expand_series,
+    generate_input,
+    generate_noise,
     push_sample,
     record_iteration,
     vnlms_step,
 )
 from dsvolterra import harness
+from dsvolterra.filters import run_rows
 
 SEEDS = tuple(range(1, 11))
 ITERATIONS = 1000
@@ -41,10 +50,7 @@ def _config(name):
 
 
 def _streaming(config, algorithm, x, d, n, w_star):
-    if algorithm.kind == "ds_vnlms":
-        state = FilterState(config.volterra, window_length=algorithm.policy.window_length)
-    else:
-        state = FilterState(config.volterra)
+    state = FilterState(config.volterra)
     records = []
     for k in range(len(x)):
         push_sample(state, x[k])
@@ -112,3 +118,26 @@ def test_desired_signal_is_the_channel_response():
     channel = Channel(w_star, config.volterra)
     assert np.array_equal(regressors, expand_series(x, config.volterra))
     assert np.array_equal(d, desired_signal(channel, x, n))
+
+
+@pytest.mark.parametrize("window", [10, 30])
+def test_streaming_detector_takes_the_policy_window(window):
+    # a default streaming state against the engine's row loop on the same rows:
+    # the detector window comes from the policy alone, on both paths
+    layout = VolterraConfig(2, 3)
+    channel = benchmark_channel()
+    w_star = embed_kernel(channel.kernel, channel.config, layout)
+    x = generate_input(SignalSpec("white_gaussian", variance=1.0, seed=1), 3000)
+    n = generate_noise(NoiseSpec("gaussian", variance=0.01, seed=2), 3000)
+    d = desired_signal(Channel(w_star, layout), x, n)
+    policy = ThresholdPolicy.time_varying(0.01, window_length=window)
+    state = FilterState(layout)
+    streamed = []
+    for k in range(len(x)):
+        push_sample(state, x[k])
+        out = ds_vnlms_step(state, d[k], policy)
+        streamed.append((out.updated, out.in_transient, out.gamma_used))
+    rows = run_rows(expand_series(x, layout), d, layout.regularization, policy)
+    engine = [(s[1], s[5], s[4]) for _, _, _, steps in rows for s in steps]
+    assert engine == streamed
+    assert {transient for _, transient, _ in streamed} == {True, False}

@@ -25,8 +25,8 @@ from dsvolterra import (
 )
 
 
-def fresh_state(order=1, memory=1, delta=0.0, window=20):
-    return FilterState(VolterraConfig(order, memory, regularization=delta), window_length=window)
+def fresh_state(order=1, memory=1, delta=0.0):
+    return FilterState(VolterraConfig(order, memory, regularization=delta))
 
 
 class TestPushSample:
@@ -159,6 +159,7 @@ class TestVnlmsStep:
         out = vnlms_step(state, 1.0, 0.8)
         assert out.updated is True
         assert out.mu_bar == 0.8
+        assert out.in_transient is True  # no detector: a constant step is always transient
         np.testing.assert_array_equal(state.w, [0.8, 0.0])
 
     def test_zero_error_leaves_kernels_despite_update_flag(self):
@@ -237,6 +238,16 @@ class TestThresholdPolicy:
         policy = ThresholdPolicy.time_varying(0.01, steady_update_threshold=5)
         window = [True] * 5 + [False] * 15
         assert current_gamma(policy, window) == pytest.approx(math.sqrt(0.05), rel=1e-15)
+
+    def test_streaming_history_bounded_by_policy_window(self):
+        # the state keeps no window of its own: the policy stepped with sizes it
+        state = fresh_state(delta=1e-9)
+        for window in (30, 10):
+            policy = ThresholdPolicy.time_varying(0.01, window_length=window)
+            for _ in range(100):
+                push_sample(state, 1.0)
+                ds_vnlms_step(state, 0.0, policy)
+            assert len(state.update_flags) == window
 
     @pytest.mark.parametrize(
         "kwargs",
