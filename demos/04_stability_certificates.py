@@ -22,11 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from dsvolterra import (
-    check_conditional_improvement,
-    check_local,
     erfc_bound,
     harness,
-    monotonicity_stats,
     prefix_ratios,
     read_trace_csv,
     verify_trace,
@@ -35,32 +32,30 @@ from dsvolterra import (
 
 config = dataclasses.replace(harness.preset("fig1a"), trials=1, seeds=(1,))
 result = harness.compare_algorithms(config)
-records = result["trials"][0]["records"]["ds_fixed"]
+ledger = result["trials"][0]["records"]["ds_fixed"]
 verdict = result["trials"][0]["verdicts"]["ds_fixed"]
+total = verdict.total_iterations
 
-print(f"run: {config.name}, {verdict.total_iterations} iterations, seed 1")
+print(f"run: {config.name}, {total} iterations, seed 1")
 print(f"updates: {verdict.update_count} ({100 * verdict.update_rate:.1f}%)\n")
 
-local_ok = sum(check_local(r) for r in records)
-cond_ok = sum(check_conditional_improvement(r) for r in records)
-print(f"local energy inequality:      {local_ok}/{len(records)} rows hold")
-print(f"conditional improvement:      {cond_ok}/{len(records)} rows hold")
+print(f"local energy inequality:      {total - verdict.local_violations}/{total} rows hold")
+print(f"conditional improvement:      {total - verdict.conditional_violations}/{total} rows hold")
 
-ratios = prefix_ratios(records, records[0].wtilde_sq_before)
-updated = np.cumsum([r.updated for r in records])
-worst = ratios[updated >= 1].max()
+# the ledger holds one array per trace column
+ratios = prefix_ratios(ledger)
+worst = ratios[np.cumsum(ledger.updated) >= 1].max()
 print(f"global ratio, worst prefix:   {worst:.6f} (< 1)")
 print(f"global ratio, final:          {verdict.global_ratio:.6f}")
 
-count, fraction, in_transient = monotonicity_stats(records)
 bound = erfc_bound(5.0)
-print(f"\ndeviation-energy increases:   {count} of {len(records)}"
-      f" (fraction {fraction:.4f} < tail bound {bound:.4f})")
-print(f"increases during transient:   {in_transient}")
+print(f"\ndeviation-energy increases:   {verdict.increase_count} of {total}"
+      f" (fraction {verdict.increase_fraction:.4f} < tail bound {bound:.4f})")
+print(f"increases during transient:   {verdict.increases_in_transient}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "trace.csv"
-    write_trace_csv(records, path)
+    write_trace_csv(ledger, path)
     problems = verify_trace(read_trace_csv(path))
     print(f"\nCSV round trip: {path.stat().st_size} bytes,"
           f" re-verification problems: {len(problems)}")

@@ -6,47 +6,16 @@ linear-in-parameters one via the triangular Volterra expansion, runs the
 data-selective (set-membership) normalized LMS update or the conventional
 VNLMS baseline over generated signals, and certifies the energy bounds the
 data-selective update satisfies, per iteration and globally.
+
+The names below are the ones the demos, the README and the benchmark use;
+everything else lives in the submodules (``harness`` for experiments and
+configs, ``errors`` for the exception types).
 """
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidTermError,
-    NumericInputError,
-    UndefinedRatioError,
-)
-from .filters import (
-    FilterState,
-    StepOutcome,
-    ThresholdPolicy,
-    current_gamma,
-    ds_vnlms_step,
-    gamma_for_known_bound,
-    push_sample,
-    vnlms_step,
-)
-from .harness import (
-    AlgorithmSpec,
-    ExperimentConfig,
-    builtin_presets,
-    compare_algorithms,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    load_kernel_file,
-    preset,
-    run_experiment,
-    run_trial,
-    save_config,
-)
+from .errors import NumericInputError
+from .filters import FilterState, ThresholdPolicy, ds_vnlms_step, push_sample, vnlms_step
 from .robustness import (
-    IterationRecord,
-    RunVerdict,
-    check_conditional_improvement,
-    check_local,
     erfc_bound,
-    global_ratio,
-    monotonicity_stats,
     prefix_ratios,
     read_trace_csv,
     record_iteration,
@@ -64,7 +33,6 @@ from .signals import (
     generate_noise,
 )
 from .volterra import (
-    ArrayF,
     TermIndex,
     VolterraConfig,
     embed_kernel,
@@ -78,54 +46,28 @@ from .volterra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayF",
-    "AlgorithmSpec",
     "Channel",
-    "ConfigError",
-    "DimensionMismatchError",
-    "ExperimentConfig",
     "FilterState",
-    "InvalidTermError",
-    "IterationRecord",
     "NoiseSpec",
     "NumericInputError",
-    "RunVerdict",
     "SignalSpec",
-    "StepOutcome",
     "TermIndex",
     "ThresholdPolicy",
-    "UndefinedRatioError",
     "VolterraConfig",
     "benchmark_channel",
-    "builtin_presets",
-    "check_conditional_improvement",
-    "check_local",
-    "compare_algorithms",
-    "config_from_dict",
-    "config_to_dict",
-    "current_gamma",
     "desired_signal",
     "ds_vnlms_step",
     "embed_kernel",
     "erfc_bound",
     "expand",
     "expand_series",
-    "gamma_for_known_bound",
     "generate_input",
     "generate_noise",
-    "global_ratio",
-    "load_config",
-    "load_kernel_file",
-    "monotonicity_stats",
     "position_of",
     "prefix_ratios",
-    "preset",
     "push_sample",
     "read_trace_csv",
     "record_iteration",
-    "run_experiment",
-    "run_trial",
-    "save_config",
     "summarize_run",
     "term_at",
     "total_dimension",

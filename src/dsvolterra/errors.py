@@ -16,6 +16,3 @@ class NumericInputError(ValueError):
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending fields."""
 
-
-class UndefinedRatioError(ArithmeticError):
-    """Energy-ratio denominator is zero, so the global bound is undefined."""

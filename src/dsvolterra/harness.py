@@ -18,20 +18,13 @@ import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
-from .filters import ThresholdPolicy, run_rows
-from .robustness import (
-    IterationRecord,
-    RunVerdict,
-    block_records,
-    format_float,
-    summarize_run,
-    write_trace_csv,
-)
+from .filters import ThresholdPolicy
+from .robustness import Ledger, RunVerdict, format_float, run_ledger, summarize_run, write_trace_csv
 from .signals import (
     Channel,
     NoiseSpec,
@@ -142,26 +135,6 @@ def _derive_seed(trial_seed: int, stream: int) -> int:
     )
 
 
-def _run_single(
-    algorithm: AlgorithmSpec,
-    regressors: np.ndarray,
-    d: np.ndarray,
-    n: np.ndarray,
-    w_star: np.ndarray,
-    delta: float,
-) -> list[IterationRecord]:
-    """One variant over precomputed regressor rows, its ledger built per
-    block of rows."""
-    law = algorithm.policy if algorithm.kind == "ds_vnlms" else algorithm.mu
-    records: list[IterationRecord] = []
-    for k0, estimates, version, steps in run_rows(regressors, d, delta, law):
-        rows = slice(k0, k0 + len(steps))
-        records += block_records(
-            w_star, k0, estimates, version, regressors[rows], n[rows], steps
-        )
-    return records
-
-
 def _realization(config: ExperimentConfig, trial_seed: int):
     """One trial's input x, its regressor matrix X in the filter layout, noise
     n, true kernels w* in the filter layout and desired signal d = X w* + n
@@ -181,19 +154,22 @@ def _run_variants(
     d: np.ndarray,
     n: np.ndarray,
     w_star: np.ndarray,
-) -> dict[str, list[IterationRecord]]:
+) -> dict[str, Ledger]:
     """Every variant on one realization, sharing its regressor matrix."""
     if not np.isfinite(regressors).all():
         raise NumericInputError("regressor contains non-finite entries")
     if not np.isfinite(d).all():
         raise NumericInputError("desired signal contains non-finite entries")
+    delta = config.volterra.regularization
     return {
-        alg.label: _run_single(alg, regressors, d, n, w_star, config.volterra.regularization)
+        alg.label: run_ledger(
+            regressors, d, n, w_star, delta, alg.policy if alg.kind == "ds_vnlms" else alg.mu
+        )
         for alg in config.algorithms
     }
 
 
-def run_trial(config: ExperimentConfig, trial_seed: int) -> dict[str, list[IterationRecord]]:
+def run_trial(config: ExperimentConfig, trial_seed: int) -> dict[str, Ledger]:
     """Run every variant on one shared realization of input and noise."""
     _, regressors, n, w_star, d = _realization(config, trial_seed)
     return _run_variants(config, regressors, d, n, w_star)
@@ -263,28 +239,16 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
     return result
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunVerdict]:
-    """Run a single-variant experiment over all trials; emit files when an
-    output directory is given.  Returns one verdict per trial."""
-    if len(config.algorithms) != 1:
-        raise ConfigError(
-            "run_experiment expects exactly one algorithm; use compare_algorithms"
-        )
-    result = compare_algorithms(config, out_dir)
-    label = config.algorithms[0].label
-    return [trial["verdicts"][label] for trial in result["trials"]]
-
-
 # ---------------------------------------------------------------------------
 # emitted files
 # ---------------------------------------------------------------------------
 
 
-def _write_curve(path: Path, records: Sequence[IterationRecord], field: str) -> None:
+def _write_curve(path: Path, ledger: Ledger, field: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("iteration,value\n")
-        for r in records:
-            fh.write(f"{r.k},{format_float(getattr(r, field))}\n")
+        values = map(format_float, getattr(ledger, field).tolist())
+        fh.writelines(f"{k},{v}\n" for k, v in zip(ledger.k.tolist(), values))
 
 
 def _dump_json(payload, path: Path) -> None:
@@ -300,12 +264,12 @@ def _write_outputs(config: ExperimentConfig, result: dict, target: Path) -> None
         for label in result["labels"]:
             run_dir = trial_dir / label
             run_dir.mkdir(parents=True, exist_ok=True)
-            records = trial["records"][label]
+            ledger = trial["records"][label]
             verdict: RunVerdict = trial["verdicts"][label]
-            write_trace_csv(records, run_dir / "trace.csv")
-            _write_curve(run_dir / "curve_lhs.csv", records, "lhs")
-            _write_curve(run_dir / "curve_rhs.csv", records, "rhs")
-            _write_curve(run_dir / "curve_wtilde_sq.csv", records, "wtilde_sq_before")
+            write_trace_csv(ledger, run_dir / "trace.csv")
+            _write_curve(run_dir / "curve_lhs.csv", ledger, "lhs")
+            _write_curve(run_dir / "curve_rhs.csv", ledger, "rhs")
+            _write_curve(run_dir / "curve_wtilde_sq.csv", ledger, "wtilde_sq_before")
             summary = {
                 "experiment": config.name,
                 "trial": trial["index"],

@@ -9,40 +9,31 @@ inequality: on updates,
 must hold strictly, and without an update both sides collapse to the
 unchanged deviation energy.  Summing over a run gives a global
 error-to-disturbance energy ratio below one, the l2-stability certificate.
+
+A whole run's ledger is a :class:`Ledger`, one array per trace column; the
+streaming API builds it one :class:`IterationRecord` row at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UndefinedRatioError
-from .filters import StepOutcome
+from .errors import DimensionMismatchError
+from .filters import ROW_BLOCK, StepOutcome, ThresholdPolicy, run_rows
 from .volterra import ArrayF
 
 #: relative slack for the strict branch of the local inequality
 LOCAL_SLACK = 1e-10
 #: relative tolerance for the equality branch (no update)
 EQUALITY_RTOL = 1e-12
-
-TRACE_COLUMNS = (
-    "k",
-    "e",
-    "e_tilde",
-    "n",
-    "updated",
-    "mu_bar",
-    "alpha",
-    "gamma_used",
-    "wtilde_sq_before",
-    "wtilde_sq_after",
-    "lhs",
-    "rhs",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +55,72 @@ class IterationRecord:
     in_transient: bool | None = None
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
+#: the trace CSV's columns: every row field but ``in_transient``, in order
+TRACE_COLUMNS = _FIELDS[:-1]
+_DTYPES = {"k": np.int64, "updated": np.bool_}
+
+
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """A run's ledger as one array per trace column (``k`` int64, ``updated``
+    bool, the rest float64); ``in_transient`` is None when read from CSV.
+
+    ``len()``, iteration and integer indexing give :class:`IterationRecord`
+    rows holding Python scalars; a slice gives the Ledger of those rows.
+    Two Ledgers are equal when every column is.
+    """
+
+    k: np.ndarray
+    e: ArrayF
+    e_tilde: ArrayF
+    n: ArrayF
+    updated: np.ndarray
+    mu_bar: ArrayF
+    alpha: ArrayF
+    gamma_used: ArrayF
+    wtilde_sq_before: ArrayF
+    wtilde_sq_after: ArrayF
+    lhs: ArrayF
+    rhs: ArrayF
+    in_transient: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, rows: Ledger | Sequence[IterationRecord]) -> Ledger:
+        """``rows`` as a Ledger: a Ledger as it is, a row sequence column by column."""
+        if isinstance(rows, Ledger):
+            return rows
+        columns = [
+            np.fromiter(map(attrgetter(c), rows), _DTYPES.get(c, np.float64), len(rows))
+            for c in TRACE_COLUMNS
+        ]
+        transient = list(map(attrgetter("in_transient"), rows))
+        in_transient = None if None in transient else np.array(transient, dtype=bool)
+        return cls(*columns, in_transient)
+
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in _FIELDS]
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __iter__(self) -> Iterator[IterationRecord]:
+        *columns, transient = self._columns()
+        transient = repeat(None) if transient is None else transient.tolist()
+        return map(IterationRecord, *(c.tolist() for c in columns), transient)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ledger(*(None if c is None else c[index] for c in self._columns()))
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+
 @dataclass(frozen=True)
 class RunVerdict:
     """Flat per-run summary of the stability certificates and update stats."""
@@ -82,21 +139,10 @@ class RunVerdict:
     wtilde_sq_final: float
 
     def as_dict(self) -> dict:
-        """JSON-safe flat key/value record (NaN ratios become null)."""
-        out = {
-            "total_iterations": self.total_iterations,
-            "update_count": self.update_count,
-            "update_rate": self.update_rate,
-            "local_violations": self.local_violations,
-            "conditional_violations": self.conditional_violations,
-            "global_ratio": None if math.isnan(self.global_ratio) else self.global_ratio,
-            "increase_count": self.increase_count,
-            "increase_fraction": self.increase_fraction,
-            "increases_in_transient": self.increases_in_transient,
-            "erfc_bound": self.erfc_bound,
-            "wtilde_sq_initial": self.wtilde_sq_initial,
-            "wtilde_sq_final": self.wtilde_sq_final,
-        }
+        """JSON-safe flat key/value record (a NaN ratio becomes null)."""
+        out = dataclasses.asdict(self)
+        if math.isnan(self.global_ratio):
+            out["global_ratio"] = None
         return out
 
 
@@ -148,120 +194,98 @@ def record_iteration(
     )
 
 
-def block_records(
-    w_star: ArrayF,
-    k0: int,
-    estimates: Sequence[ArrayF],
-    version: Sequence[int],
+def _weighted_energies(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
+    """Each row's (mu/alpha) e~^2 and (mu/alpha) n^2 on updates, zero
+    elsewhere: what it adds to lhs over rhs, and to the error and disturbance
+    energies of the global ratio.  Overflow and a zero alpha give inf or NaN,
+    which the checks count as violations."""
+    updated, e_tilde, n = ledger.updated, ledger.e_tilde, ledger.n
+    with np.errstate(all="ignore"):
+        weight = np.divide(ledger.mu_bar, ledger.alpha, out=np.zeros(len(updated)), where=updated)
+        # products, not powers: a huge finite field overflows to inf, not an error
+        return weight * (e_tilde * e_tilde), weight * (n * n)
+
+
+def run_ledger(
     regressors: ArrayF,
+    desired: ArrayF,
     noise: ArrayF,
-    steps: Sequence[tuple],
-) -> list[IterationRecord]:
-    """Ledger rows for consecutive steps ``k0, k0 + 1, ...``: the arithmetic
-    of :func:`record_iteration` as array operations over a block.
+    w_star: ArrayF,
+    delta: float,
+    law: ThresholdPolicy | float,
+) -> Ledger:
+    """The ledger of :func:`filters.run_rows` over precomputed, finite
+    regressor rows: the rows :func:`record_iteration` gives for the same
+    steps, built per block with array operations.
 
-    ``estimates`` are the distinct estimates in force during the block, the
-    first before its first step and the last after its last step;
-    ``version[i]`` indexes the estimate before step ``i``.  ``steps[i]`` is
-    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  Each estimate's
-    deviation energy is computed once, so a step that leaves the estimate
-    unchanged keeps its energy exactly.
+    Each distinct estimate's deviation energy is computed once, so a step
+    that leaves the estimate unchanged keeps its energy exactly.
     """
-    deviation = w_star - np.array(estimates)
-    energy = np.einsum("ij,ij->i", deviation, deviation)
-    before_version = np.asarray(version)
-    after_version = np.append(before_version[1:], len(estimates) - 1)
-    e_tilde = np.einsum("ij,ij->i", deviation[before_version], regressors)
-    e, updated, mu_bar, alpha, gamma_used, in_transient = zip(*steps)
-    weight = np.divide(mu_bar, alpha, out=np.zeros(len(steps)), where=np.array(updated))
-    before = energy[before_version]
-    after = energy[after_version]
-    lhs = after + weight * e_tilde**2
-    rhs = before + weight * noise**2
-    return list(
-        map(
-            IterationRecord,
-            range(k0, k0 + len(steps)),
-            e,
-            e_tilde.tolist(),
-            noise.tolist(),
-            updated,
-            mu_bar,
-            alpha,
-            gamma_used,
-            before.tolist(),
-            after.tolist(),
-            lhs.tolist(),
-            rhs.tolist(),
-            in_transient,
-        )
+    size = len(desired)
+    # e, updated, mu_bar, alpha, gamma_used, in_transient per step
+    steps = np.empty((6, size))
+    e_tilde, before, after = np.empty((3, size))
+    for k0, estimates, version, block in run_rows(regressors, desired, delta, law):
+        rows = slice(k0, k0 + len(block))
+        deviation = w_star - np.array(estimates)
+        energy = np.einsum("ij,ij->i", deviation, deviation)
+        before_version = np.asarray(version)
+        after_version = np.append(before_version[1:], len(estimates) - 1)
+        e_tilde[rows] = np.einsum("ij,ij->i", deviation[before_version], regressors[rows])
+        before[rows] = energy[before_version]
+        after[rows] = energy[after_version]
+        steps[:, rows] = np.transpose(block)
+    e, updated, mu_bar, alpha, gamma_used, in_transient = steps
+    noise = np.array(noise, dtype=np.float64)
+    # lhs and rhs are the deviation energies until the weighted energies are added
+    ledger = Ledger(
+        np.arange(size), e, e_tilde, noise, updated != 0.0, mu_bar, alpha, gamma_used,
+        before, after, after, before, in_transient != 0.0,
     )
+    error_energy, noise_energy = _weighted_energies(ledger)
+    return dataclasses.replace(ledger, lhs=after + error_energy, rhs=before + noise_energy)
 
 
-def check_local(record: IterationRecord) -> bool:
-    """Local energy certificate for one row: strictly below with relative
-    slack when an update happened, equality to rounding otherwise."""
-    if record.updated:
-        return record.lhs < record.rhs + LOCAL_SLACK * max(1.0, record.rhs)
-    return abs(record.lhs - record.rhs) <= EQUALITY_RTOL * max(1.0, abs(record.rhs))
+def _blocks(rows: Ledger | Sequence[IterationRecord]) -> Iterator[Ledger]:
+    """Consecutive Ledgers of at most ``ROW_BLOCK`` rows, so that a long row
+    sequence is never converted whole."""
+    for start in range(0, len(rows), ROW_BLOCK):
+        yield Ledger.of(rows[start : start + ROW_BLOCK])
 
 
-def check_conditional_improvement(record: IterationRecord) -> bool:
-    """On updates where the noiseless error dominates the noise, the deviation
-    energy must strictly decrease; every other row passes vacuously."""
-    if not record.updated:
-        return True
-    if record.e_tilde**2 < record.n**2:
-        return True
-    return record.wtilde_sq_after < record.wtilde_sq_before
+def _equal(value: ArrayF, reference: ArrayF) -> np.ndarray:
+    """``value`` equals ``reference`` to ``EQUALITY_RTOL``, relative above one;
+    written as "<=" so that a NaN on either side is a mismatch."""
+    return abs(value - reference) <= EQUALITY_RTOL * np.maximum(1.0, abs(reference))
 
 
-def global_ratio(records: Sequence[IterationRecord], wtilde_sq_initial: float) -> float:
-    """Error-energy to disturbance-energy ratio over a completed run.
-
-    The weighted sums run over updated iterations only.  With no updates the
-    ratio collapses to the vacuous boundary value 1.
-    """
-    if not records:
-        raise ValueError("cannot form a ratio over an empty record sequence")
-    num = records[-1].wtilde_sq_after
-    den = float(wtilde_sq_initial)
-    for r in records:
-        if r.updated:
-            weight = r.mu_bar / r.alpha
-            num += weight * r.e_tilde**2
-            den += weight * r.n**2
-    if den == 0.0:
-        raise UndefinedRatioError("disturbance energy is zero; ratio undefined")
-    return num / den
+def _local_ok(ledger: Ledger) -> np.ndarray:
+    """The local energy certificate per row: lhs strictly below rhs, with
+    relative slack, on updates; lhs equal to rhs to rounding otherwise."""
+    lhs, rhs = ledger.lhs, ledger.rhs
+    with np.errstate(all="ignore"):
+        return np.where(
+            ledger.updated,
+            lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs),
+            _equal(lhs, rhs),
+        )
 
 
-def prefix_ratios(records: Sequence[IterationRecord], wtilde_sq_initial: float) -> ArrayF:
-    """Global ratio after every prefix K = 1..len(records), by running sums.
+def prefix_ratios(rows: Ledger | Sequence[IterationRecord]) -> ArrayF:
+    """Global error-to-disturbance ratio after every prefix K = 1..len(rows),
+    by running sums: the deviation energy after step K plus the weighted
+    noiseless-error energy, over the initial deviation energy plus the
+    weighted noise energy (both sums over updates only).
 
     Prefixes whose disturbance energy is still zero yield NaN.
     """
-    updated = np.array([r.updated for r in records], dtype=bool)
-    mu_bar, alpha, e_tilde, n, after = np.array(
-        [(r.mu_bar, r.alpha, r.e_tilde, r.n, r.wtilde_sq_after) for r in records]
-    ).reshape(-1, 5).T
-    # a read-back trace may hold any finite values: overflow and a zero alpha
-    # give inf or NaN ratios, which the callers treat as violations
+    ledger = Ledger.of(rows)
+    error_energy, noise_energy = _weighted_energies(ledger)
     with np.errstate(all="ignore"):
-        weights = np.divide(mu_bar, alpha, out=np.zeros(len(records)), where=updated)
-        num = after + np.cumsum(weights * (e_tilde * e_tilde))
-        den = float(wtilde_sq_initial) + np.cumsum(weights * (n * n))
+        num = ledger.wtilde_sq_after + np.cumsum(error_energy)
+        # a one-element slice broadcasts, and stays empty for an empty ledger
+        den = ledger.wtilde_sq_before[:1] + np.cumsum(noise_energy)
         return np.where(den == 0.0, np.nan, num / den)
-
-
-def monotonicity_stats(records: Sequence[IterationRecord]) -> tuple[int, float, int]:
-    """Strict increases of the deviation energy: count, fraction over all
-    iterations, and how many fell in iterations labeled transient."""
-    increases = [r for r in records if r.wtilde_sq_after > r.wtilde_sq_before]
-    count = len(increases)
-    fraction = count / len(records) if records else 0.0
-    in_transient = sum(1 for r in increases if r.in_transient)
-    return count, fraction, in_transient
 
 
 def erfc_bound(tau: float) -> float:
@@ -274,34 +298,57 @@ def erfc_bound(tau: float) -> float:
 
 
 def summarize_run(
-    records: Sequence[IterationRecord], *, tau_for_bound: float | None = None
+    rows: Ledger | Sequence[IterationRecord], *, tau_for_bound: float | None = None
 ) -> RunVerdict:
-    """Collapse a completed ledger into the flat per-run verdict."""
-    if not records:
-        raise ValueError("cannot summarize an empty record sequence")
-    total = len(records)
-    updates = sum(1 for r in records if r.updated)
-    wtilde_sq_initial = records[0].wtilde_sq_before
-    try:
-        ratio = global_ratio(records, wtilde_sq_initial)
-    except UndefinedRatioError:
-        ratio = math.nan
-    inc_count, inc_fraction, inc_transient = monotonicity_stats(records)
+    """Collapse a completed ledger, or its rows, into the flat per-run verdict.
+
+    The global ratio is the last prefix ratio, its weighted sums added in row
+    order; with no updates it collapses to the vacuous boundary value 1, and
+    with zero disturbance energy it is NaN.  The ledger is folded in blocks
+    of ``ROW_BLOCK`` rows.
+    """
+    total = len(rows)
+    if not total:
+        raise ValueError("cannot summarize an empty ledger")
+    first, last = rows[0], rows[-1]
+    num, den = last.wtilde_sq_after, first.wtilde_sq_before
+    # updates, local and conditional violations, increases, increases in transient
+    counts = np.zeros(5, dtype=np.int64)
+    for block in _blocks(rows):
+        updated, e_tilde, n = block.updated, block.e_tilde, block.n
+        after, before = block.wtilde_sq_after, block.wtilde_sq_before
+        error_energy, noise_energy = _weighted_energies(block)
+        # running sums in row order, as a sequential loop adds them
+        num = np.cumsum(np.append(num, error_energy[updated]))[-1]
+        den = np.cumsum(np.append(den, noise_energy[updated]))[-1]
+        increased = after > before
+        # conditional improvement: where an update's noiseless error dominates
+        # the noise, the deviation energy strictly decreases
+        with np.errstate(all="ignore"):
+            improved = ~updated | (e_tilde * e_tilde < n * n) | (after < before)
+        counts += [
+            np.count_nonzero(updated),
+            np.count_nonzero(~_local_ok(block)),
+            np.count_nonzero(~improved),
+            np.count_nonzero(increased),
+            0 if block.in_transient is None else np.count_nonzero(increased & block.in_transient),
+        ]
+    updates, local, conditional, increases, in_transient = counts.tolist()
+    with np.errstate(all="ignore"):
+        ratio = math.nan if den == 0.0 else float(num / den)
     return RunVerdict(
         total_iterations=total,
         update_count=updates,
         update_rate=updates / total,
-        local_violations=sum(1 for r in records if not check_local(r)),
-        conditional_violations=sum(
-            1 for r in records if not check_conditional_improvement(r)
-        ),
+        local_violations=local,
+        conditional_violations=conditional,
         global_ratio=ratio,
-        increase_count=inc_count,
-        increase_fraction=inc_fraction,
-        increases_in_transient=inc_transient,
+        increase_count=increases,
+        increase_fraction=increases / total,
+        increases_in_transient=in_transient,
         erfc_bound=erfc_bound(tau_for_bound) if tau_for_bound is not None else None,
-        wtilde_sq_initial=wtilde_sq_initial,
-        wtilde_sq_final=records[-1].wtilde_sq_after,
+        wtilde_sq_initial=first.wtilde_sq_before,
+        wtilde_sq_final=last.wtilde_sq_after,
     )
 
 
@@ -310,37 +357,25 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_trace_csv(records: Sequence[IterationRecord], path) -> None:
+def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
     """Emit the ledger as CSV: header row, LF endings, '.' decimals, floats
     at 17 significant digits so a re-read reproduces every bit."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.k),
-                        format_float(r.e),
-                        format_float(r.e_tilde),
-                        format_float(r.n),
-                        "1" if r.updated else "0",
-                        format_float(r.mu_bar),
-                        format_float(r.alpha),
-                        format_float(r.gamma_used),
-                        format_float(r.wtilde_sq_before),
-                        format_float(r.wtilde_sq_after),
-                        format_float(r.lhs),
-                        format_float(r.rhs),
-                    )
-                )
-                + "\n"
-            )
+        for block in _blocks(rows):
+            fields = [
+                map(str, block.k.tolist()),
+                *(map(format_float, getattr(block, c).tolist()) for c in TRACE_COLUMNS[1:4]),
+                ("1" if u else "0" for u in block.updated.tolist()),
+                *(map(format_float, getattr(block, c).tolist()) for c in TRACE_COLUMNS[5:]),
+            ]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
-def read_trace_csv(path) -> list[IterationRecord]:
+def read_trace_csv(path) -> Ledger:
     """Read back a trace written by :func:`write_trace_csv`; every field must
-    be a finite number and ``updated`` 0 or 1.  A ``ValueError`` names the
-    path and line of the first fault."""
+    be a finite number, ``k`` a 64-bit integer and ``updated`` 0 or 1.  A
+    ``ValueError`` names the path and line of the first fault."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -350,7 +385,7 @@ def read_trace_csv(path) -> list[IterationRecord]:
     lines = text.splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
-    records = []
+    ks, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
@@ -365,59 +400,68 @@ def read_trace_csv(path) -> list[IterationRecord]:
             raise ValueError(f"{path}:{lineno}: column {column} is not finite")
         if parts[4] not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: column updated must be 0 or 1")
-        values[3] = parts[4] == "1"
-        records.append(IterationRecord(k, *values))
-    return records
+        if not -(2**63) <= k < 2**63:
+            raise ValueError(f"{path}:{lineno}: column k is out of range")
+        ks.append(k)
+        rows.append(values)
+    e, e_tilde, n, updated, *rest = np.array(rows, dtype=np.float64).reshape(-1, 11).T.copy()
+    return Ledger(np.array(ks, dtype=np.int64), e, e_tilde, n, updated != 0.0, *rest)
 
 
-def verify_trace(records: Sequence[IterationRecord]) -> list[str]:
-    """Re-check a ledger: rows numbered k = 0..K-1, each row's deviation
-    energy before equal to the previous row's after, row arithmetic, the error
-    decomposition, the local certificate on every row, and the prefix ratio
-    wherever at least one update has happened (an undefined ratio there is a
-    violation).  Any NaN field fails its checks.  Returns violation messages;
-    empty means the trace certifies."""
+def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
+    """Re-check a ledger: at least one row, rows numbered k = 0..K-1, each
+    row's deviation energy before equal to the previous row's after, row
+    arithmetic, the error decomposition, the local certificate on every row,
+    and the prefix ratio wherever at least one update has happened (an
+    undefined ratio there is a violation).  Any NaN field fails its checks.
+    Returns violation messages, row by row; empty means the trace certifies."""
+    ledger = Ledger.of(rows)
+    if not len(ledger):
+        return ["trace has no rows"]
+    k, updated, e, e_tilde, n = ledger.k, ledger.updated, ledger.e, ledger.e_tilde, ledger.n
+    before, after = ledger.wtilde_sq_before, ledger.wtilde_sq_after
+    k_off = np.append(k[0] != 0, k[1:] != k[:-1] + 1)
+    # exact: the engine and record_iteration carry the energy over unchanged,
+    # and the 17-digit CSV round-trips it
+    chain_broken = np.append(False, ~(before[1:] == after[:-1]))
+    alpha_bad = updated & ~(ledger.alpha > 0.0)
+    error_energy, noise_energy = _weighted_energies(ledger)
+    with np.errstate(all="ignore"):
+        lhs_ok = _equal(ledger.lhs, after + error_energy)
+        sides_off = ~(lhs_ok & _equal(ledger.rhs, before + noise_energy))
+        split = e_tilde + n
+        # written as "not <=" so that a NaN anywhere counts as a mismatch
+        scale = np.maximum(1.0, np.maximum(abs(e), abs(split)))
+        split_off = ~(abs(e - split) <= EQUALITY_RTOL * scale)
+    # an update without a positive alpha has no row arithmetic to check
+    sides_off, split_off, local_off = (
+        mask & ~alpha_bad for mask in (sides_off, split_off, ~_local_ok(ledger))
+    )
     problems: list[str] = []
-    expected_k = 0
-    previous = None
-    for r in records:
-        if r.k != expected_k:
-            problems.append(f"row k={r.k}: expected k={expected_k}, rows must run k = 0..K-1")
-        expected_k = r.k + 1
-        # exact: record_iteration and block_records carry the energy over
-        # unchanged, and the 17-digit CSV round-trips it
-        if previous is not None and not r.wtilde_sq_before == previous.wtilde_sq_after:
+    faulty = k_off | chain_broken | alpha_bad | sides_off | split_off | local_off
+    for i in np.flatnonzero(faulty).tolist():
+        r = ledger[i]
+        if k_off[i]:
+            expected = int(k[i - 1]) + 1 if i else 0
+            problems.append(f"row k={r.k}: expected k={expected}, rows must run k = 0..K-1")
+        if chain_broken[i]:
             problems.append(
                 f"row k={r.k}: wtilde_sq_before={r.wtilde_sq_before!r} is not the"
-                f" previous row's wtilde_sq_after={previous.wtilde_sq_after!r}"
+                f" previous row's wtilde_sq_after={after[i - 1].item()!r}"
             )
-        previous = r
-        if r.updated and not r.alpha > 0.0:
+        if alpha_bad[i]:
             problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
-            continue
-        weight = (r.mu_bar / r.alpha) if r.updated else 0.0
-        # products, not powers: a huge finite field overflows to inf, not an error
-        lhs_expected = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
-        rhs_expected = r.wtilde_sq_before + weight * (r.n * r.n)
-        # written as "not <=" so that a NaN anywhere counts as a mismatch
-        if not (
-            abs(r.lhs - lhs_expected) <= EQUALITY_RTOL * max(1.0, abs(lhs_expected))
-            and abs(r.rhs - rhs_expected) <= EQUALITY_RTOL * max(1.0, abs(rhs_expected))
-        ):
+        if sides_off[i]:
             problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
-        if not abs(r.e - (r.e_tilde + r.n)) <= EQUALITY_RTOL * max(
-            1.0, abs(r.e), abs(r.e_tilde + r.n)
-        ):
+        if split_off[i]:
             problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
-        if not check_local(r):
+        if local_off[i]:
             problems.append(
                 f"row k={r.k}: local energy inequality violated"
                 f" (lhs={r.lhs!r}, rhs={r.rhs!r})"
             )
-    if records:
-        ratios = prefix_ratios(records, records[0].wtilde_sq_before)
-        updates = np.cumsum([1 if r.updated else 0 for r in records])
-        for i, (ratio, n_up) in enumerate(zip(ratios, updates)):
-            if n_up >= 1 and not ratio < 1.0 + LOCAL_SLACK:
-                problems.append(f"prefix K={i + 1}: global ratio {float(ratio)!r} not below one")
+    ratios = prefix_ratios(ledger)
+    above_one = (np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK)
+    for i in np.flatnonzero(above_one).tolist():
+        problems.append(f"prefix K={i + 1}: global ratio {ratios[i].item()!r} not below one")
     return problems

@@ -22,10 +22,10 @@ from dsvolterra import (
     expand,
     generate_input,
     generate_noise,
-    global_ratio,
     prefix_ratios,
     push_sample,
     record_iteration,
+    summarize_run,
     total_dimension,
 )
 from dsvolterra import harness
@@ -83,13 +83,12 @@ def test_criterion_02_global_ratio_below_one_at_every_prefix(
     everything = {**certificate_runs, **bounded_runs, **comparison_runs}
     for name, result in everything.items():
         for trial in result["trials"]:
-            for label, records in trial["records"].items():
-                ratios = prefix_ratios(records, records[0].wtilde_sq_before)
-                updated = np.cumsum([r.updated for r in records])
-                mask = updated >= 1
+            for label, ledger in trial["records"].items():
+                ratios = prefix_ratios(ledger)
+                mask = np.cumsum(ledger.updated) >= 1
                 assert mask.any(), (name, trial["seed"])
                 assert np.all(ratios[mask] < 1.0 + 1e-10), (name, trial["seed"], label)
-                assert global_ratio(records, records[0].wtilde_sq_before) < 1.0
+                assert trial["verdicts"][label].global_ratio < 1.0
 
 
 def test_criterion_03_bounded_noise_never_degrades(bounded_runs):
@@ -385,7 +384,5 @@ def test_criterion_08_hand_computed_traces_reproduce():
         assert rec.wtilde_sq_after == pytest.approx(after, rel=1e-12)
         assert rec.lhs == pytest.approx(lhs, rel=1e-12)
         assert rec.rhs == pytest.approx(rhs, rel=1e-12)
-    np.testing.assert_allclose(
-        prefix_ratios(records, 1.0), [0.75, 0.75, 0.6875], rtol=1e-12
-    )
-    assert global_ratio(records, 1.0) == pytest.approx(0.6875, rel=1e-12)
+    np.testing.assert_allclose(prefix_ratios(records), [0.75, 0.75, 0.6875], rtol=1e-12)
+    assert summarize_run(records).global_ratio == pytest.approx(0.6875, rel=1e-12)

@@ -171,7 +171,7 @@ class TestCheck:
         out_dir = tmp_path / "out"
         main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
         trace = out_dir / "trial_000" / "ds" / "trace.csv"
-        records = read_trace_csv(trace)
+        records = list(read_trace_csv(trace))
         target = next(i for i, r in enumerate(records) if r.updated)
         records[target] = dataclasses.replace(records[target], lhs=records[target].rhs + 1.0)
         write_trace_csv(records, trace)
@@ -222,6 +222,13 @@ class TestCheck:
         trace.write_text("\n".join(l for i, l in enumerate(lines) if i not in drop) + "\n")
         assert main(["check", str(trace)]) == EXIT_VERIFICATION
         assert "rows must run k = 0..K-1" in capsys.readouterr().err
+
+    def test_header_only_trace_fails(self, tmp_path, capsys):
+        # negative control: a trace without rows certifies nothing
+        trace = tmp_path / "trace.csv"
+        write_trace_csv([], trace)
+        assert main(["check", str(trace)]) == EXIT_VERIFICATION
+        assert "trace has no rows" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.csv")]) == EXIT_IO

@@ -14,15 +14,14 @@ from dsvolterra import (
     ThresholdPolicy,
     VolterraConfig,
     benchmark_channel,
-    current_gamma,
     desired_signal,
     ds_vnlms_step,
     embed_kernel,
-    gamma_for_known_bound,
     generate_input,
     push_sample,
     vnlms_step,
 )
+from dsvolterra.filters import current_gamma, gamma_for_known_bound
 
 
 def fresh_state(order=1, memory=1, delta=0.0):

@@ -11,15 +11,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dsvolterra import (
-    AlgorithmSpec,
     Channel,
-    ConfigError,
-    ExperimentConfig,
     NoiseSpec,
     SignalSpec,
     ThresholdPolicy,
     VolterraConfig,
     benchmark_channel,
+    total_dimension,
+)
+from dsvolterra.errors import ConfigError
+from dsvolterra.harness import (
+    AlgorithmSpec,
+    ExperimentConfig,
     builtin_presets,
     compare_algorithms,
     config_from_dict,
@@ -27,9 +30,7 @@ from dsvolterra import (
     load_config,
     load_kernel_file,
     preset,
-    run_experiment,
     save_config,
-    total_dimension,
 )
 from dsvolterra.cli import EXIT_USAGE, main
 
@@ -421,26 +422,19 @@ class TestConfigFuzz:
 
 
 class TestRunExperiment:
+    """A single-variant experiment through ``compare_algorithms``."""
+
     def test_verdicts_per_trial(self):
-        verdicts = run_experiment(small_config())
+        result = compare_algorithms(small_config())
+        verdicts = [trial["verdicts"]["ds"] for trial in result["trials"]]
         assert len(verdicts) == 2
         for v in verdicts:
             assert v.total_iterations == 250
             assert v.local_violations == 0
 
-    def test_multi_algorithm_config_rejected(self):
-        config = small_config(
-            algorithms=(
-                AlgorithmSpec(label="a", kind="vnlms", mu=0.8),
-                AlgorithmSpec(label="b", kind="vnlms", mu=0.3),
-            )
-        )
-        with pytest.raises(ConfigError, match="exactly one"):
-            run_experiment(config)
-
     def test_emitted_files(self, tmp_path):
         out = tmp_path / "out"
-        run_experiment(small_config(), out)
+        compare_algorithms(small_config(), out)
         assert (out / "config.json").is_file()
         assert (out / "summary.json").is_file()
         for trial in ("trial_000", "trial_001"):
@@ -460,7 +454,7 @@ class TestRunExperiment:
 
     def test_curve_files_shape(self, tmp_path):
         out = tmp_path / "out"
-        run_experiment(small_config(trials=1, seeds=(11,)), out)
+        compare_algorithms(small_config(trials=1, seeds=(11,)), out)
         lines = (out / "trial_000" / "ds" / "curve_lhs.csv").read_text().splitlines()
         assert lines[0] == "iteration,value"
         assert len(lines) == 1 + 250
@@ -469,7 +463,7 @@ class TestRunExperiment:
 
     def test_curve_lhs_never_exceeds_rhs(self, tmp_path):
         out = tmp_path / "out"
-        run_experiment(small_config(trials=1, seeds=(11,)), out)
+        compare_algorithms(small_config(trials=1, seeds=(11,)), out)
 
         def column(name):
             lines = (out / "trial_000" / "ds" / name).read_text().splitlines()[1:]
@@ -481,7 +475,7 @@ class TestRunExperiment:
 
     def test_config_snapshot_has_no_output_dir(self, tmp_path):
         out = tmp_path / "out"
-        run_experiment(small_config(output_dir="somewhere/else"), out)
+        compare_algorithms(small_config(output_dir="somewhere/else"), out)
         snapshot = json.loads((out / "config.json").read_text())
         assert "output_dir" not in snapshot
 
@@ -489,8 +483,8 @@ class TestRunExperiment:
         config = small_config(trials=3, seeds=(1, 2, 3))
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        run_experiment(config, out_a)
-        run_experiment(config, out_b)
+        compare_algorithms(config, out_a)
+        compare_algorithms(config, out_b)
         files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
         assert files_a == files_b
@@ -548,12 +542,6 @@ class TestCompareAlgorithms:
                 "total_conditional_violations",
                 "max_global_ratio",
             }
-
-    def test_single_variant_comparison_matches_run_experiment(self):
-        config = small_config(trials=1, seeds=(31,))
-        result = compare_algorithms(config)
-        verdicts = run_experiment(config)
-        assert result["trials"][0]["verdicts"]["ds"] == verdicts[0]
 
     def test_comparison_summary_file(self, tmp_path):
         config = small_config(

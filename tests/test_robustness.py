@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -12,29 +13,31 @@ from scipy.special import erfc as scipy_erfc
 
 from dsvolterra import (
     FilterState,
-    IterationRecord,
     NoiseSpec,
     SignalSpec,
     ThresholdPolicy,
-    UndefinedRatioError,
     VolterraConfig,
-    check_conditional_improvement,
-    check_local,
     ds_vnlms_step,
     erfc_bound,
     generate_input,
     generate_noise,
-    global_ratio,
-    monotonicity_stats,
     prefix_ratios,
     push_sample,
     read_trace_csv,
     record_iteration,
     summarize_run,
     verify_trace,
+    vnlms_step,
     write_trace_csv,
 )
-from dsvolterra.robustness import TRACE_COLUMNS
+from dsvolterra import harness
+from dsvolterra.robustness import (
+    EQUALITY_RTOL,
+    LOCAL_SLACK,
+    TRACE_COLUMNS,
+    IterationRecord,
+    Ledger,
+)
 
 
 def run_hand_trace(inputs, desired, gamma, w_star, config):
@@ -77,6 +80,11 @@ def random_run(seed=0, iters=300, gamma=0.15, noise_kind="gaussian"):
     return records
 
 
+def one_row(**fields):
+    """The verdict of a one-row ledger."""
+    return summarize_run(Ledger.of([IterationRecord(**fields)]))
+
+
 class TestCanonicalSingleUpdate:
     """w* = e1, w(0) = 0, unit regressor, d = 1, gamma = 0.5, delta = 0."""
 
@@ -97,16 +105,14 @@ class TestCanonicalSingleUpdate:
     def test_lhs_rhs(self, record):
         assert record.lhs == pytest.approx(0.75, rel=1e-12)
         assert record.rhs == pytest.approx(1.0, rel=1e-12)
-        assert check_local(record)
+        assert summarize_run([record]).local_violations == 0
 
     def test_global_ratio(self, record):
-        assert global_ratio([record], record.wtilde_sq_before) == pytest.approx(
-            0.75, rel=1e-12
-        )
+        assert summarize_run([record]).global_ratio == pytest.approx(0.75, rel=1e-12)
 
     def test_conditional_improvement(self, record):
         # noiseless error dominates (n = 0) and the energy drops 1 -> 0.25
-        assert check_conditional_improvement(record)
+        assert summarize_run([record]).conditional_violations == 0
 
 
 class TestThreeStepHandTrace:
@@ -154,97 +160,98 @@ class TestThreeStepHandTrace:
                 assert record.rhs - record.lhs > 0.0
 
     def test_prefix_ratios(self, records):
-        ratios = prefix_ratios(records, records[0].wtilde_sq_before)
+        ratios = prefix_ratios(records)
         np.testing.assert_allclose(ratios, [0.75, 0.75, 0.6875], rtol=1e-12)
 
     def test_global_ratio(self, records):
-        assert global_ratio(records, 1.0) == pytest.approx(0.6875, rel=1e-12)
+        assert records[0].wtilde_sq_before == 1.0
+        assert summarize_run(records).global_ratio == pytest.approx(0.6875, rel=1e-12)
 
     def test_no_increases(self, records):
-        count, fraction, _ = monotonicity_stats(records)
-        assert count == 0
-        assert fraction == 0.0
+        verdict = summarize_run(records)
+        assert verdict.increase_count == 0
+        assert verdict.increase_fraction == 0.0
 
 
 class TestCheckLocal:
     def test_non_updated_requires_equality(self):
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.0, rhs=1.0,
         )
-        assert check_local(record)
+        assert verdict.local_violations == 0
 
     def test_synthetic_violation_detected(self):
         # negative control: the checker must flag lhs > rhs on an update
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=1.0, e_tilde=1.0, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.5, lhs=2.0, rhs=1.0,
         )
-        assert not check_local(record)
+        assert verdict.local_violations == 1
 
     def test_non_updated_drift_detected(self):
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.01, lhs=1.01, rhs=1.0,
         )
-        assert not check_local(record)
+        assert verdict.local_violations == 1
 
 
 class TestConditionalImprovement:
     def test_vacuous_when_not_updated(self):
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=0.1, e_tilde=2.0, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.0, rhs=1.0,
         )
-        assert check_conditional_improvement(record)
+        assert verdict.conditional_violations == 0
 
     def test_vacuous_when_noise_dominates(self):
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=1.0, e_tilde=0.1, n=0.9, updated=True, mu_bar=0.5, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.2, lhs=1.2, rhs=1.4,
         )
-        assert check_conditional_improvement(record)
+        assert verdict.conditional_violations == 0
 
     def test_violation_detected(self):
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=1.0, e_tilde=1.0, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.5, rhs=1.0,
         )
-        assert not check_conditional_improvement(record)
+        assert verdict.conditional_violations == 1
 
 
 class TestGlobalRatio:
     def test_vacuous_run_sits_on_boundary(self):
         # no updates ever: ratio collapses to ||w~(0)||^2 / ||w~(0)||^2 = 1
-        record = IterationRecord(
+        verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=2.0, wtilde_sq_after=2.0, lhs=2.0, rhs=2.0,
         )
-        assert global_ratio([record], 2.0) == 1.0
+        assert verdict.global_ratio == 1.0
 
-    def test_zero_denominator_raises(self):
-        record = IterationRecord(
+    def test_zero_denominator_is_undefined(self):
+        verdict = one_row(
             k=0, e=0.0, e_tilde=0.0, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
             gamma_used=0.5, wtilde_sq_before=0.0, wtilde_sq_after=0.0, lhs=0.0, rhs=0.0,
         )
-        with pytest.raises(UndefinedRatioError):
-            global_ratio([record], 0.0)
+        assert math.isnan(verdict.global_ratio)
+        assert verdict.as_dict()["global_ratio"] is None
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            global_ratio([], 1.0)
+            summarize_run([])
+        with pytest.raises(ValueError):
+            summarize_run(Ledger.of([]))
 
 
 class TestRandomizedRunInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_local_certificate_every_row(self, seed):
-        records = random_run(seed=seed)
-        assert all(check_local(r) for r in records)
+        assert summarize_run(random_run(seed=seed)).local_violations == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_conditional_improvement_every_row(self, seed):
-        records = random_run(seed=seed)
-        assert all(check_conditional_improvement(r) for r in records)
+        assert summarize_run(random_run(seed=seed)).conditional_violations == 0
 
     def test_error_decomposition(self):
         for record in random_run(seed=3):
@@ -259,15 +266,14 @@ class TestRandomizedRunInvariants:
 
     def test_prefix_ratios_below_one_once_updated(self):
         records = random_run(seed=5)
-        ratios = prefix_ratios(records, records[0].wtilde_sq_before)
+        ratios = prefix_ratios(records)
         updated = np.cumsum([r.updated for r in records])
         assert np.all(ratios[updated >= 1] < 1.0 + 1e-10)
 
     def test_bounded_noise_with_double_threshold_never_increases(self):
-        records = random_run(seed=6, gamma=0.2, noise_kind="uniform_bounded")
-        count, fraction, _ = monotonicity_stats(records)
-        assert count == 0
-        assert fraction == 0.0
+        verdict = summarize_run(random_run(seed=6, gamma=0.2, noise_kind="uniform_bounded"))
+        assert verdict.increase_count == 0
+        assert verdict.increase_fraction == 0.0
 
     def test_summary_consistency(self):
         records = random_run(seed=7)
@@ -404,6 +410,179 @@ class TestTraceCsv:
         problems = verify_trace(corrupted)
         assert any(f"k={records[target].k}:" in p for p in problems)
         assert problems[-1] == f"prefix K={len(records)}: global ratio nan not below one"
+
+    def test_verify_trace_messages_for_one_row_with_several_faults(self):
+        # the last row, so that its k gap is the only one: all of its
+        # messages, in the order the checks run
+        records = random_run(seed=16, iters=50)
+        last = records[-1]
+        bumped = math.nextafter(last.wtilde_sq_before, math.inf)
+        lhs = last.rhs * 2.0 + 1.0
+        corrupted = records[:-1] + [
+            dataclasses.replace(last, k=len(records), wtilde_sq_before=bumped, lhs=lhs)
+        ]
+        k = len(records)
+        assert verify_trace(corrupted) == [
+            f"row k={k}: expected k={k - 1}, rows must run k = 0..K-1",
+            f"row k={k}: wtilde_sq_before={bumped!r} is not the previous row's"
+            f" wtilde_sq_after={records[-2].wtilde_sq_after!r}",
+            f"row k={k}: stored lhs/rhs do not match the row fields",
+            f"row k={k}: local energy inequality violated (lhs={lhs!r}, rhs={last.rhs!r})",
+        ]
+
+    def test_empty_ledger_is_a_violation(self):
+        assert verify_trace([]) == ["trace has no rows"]
+        assert verify_trace(Ledger.of([])) == ["trace has no rows"]
+
+    def test_row_number_beyond_64_bits_rejected_on_read(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=12, iters=5), path)
+        lines = path.read_text().splitlines()
+        lines[3] = str(2**63) + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"trace\.csv:4: column k is out of range"):
+            read_trace_csv(path)
+
+
+PRESET_ITERATIONS = 1000
+
+
+@pytest.fixture(scope="module")
+def preset_runs():
+    """Each preset's engine ledgers and its streaming-oracle rows, one trial."""
+    runs = {}
+    for name in harness.builtin_presets():
+        config = dataclasses.replace(harness.preset(name), iterations=PRESET_ITERATIONS)
+        x, _, n, w_star, d = harness._realization(config, 1)
+        engine = harness.run_trial(config, 1)
+        for algorithm in config.algorithms:
+            state = FilterState(config.volterra)
+            oracle = []
+            for k in range(PRESET_ITERATIONS):
+                push_sample(state, x[k])
+                w_before = state.w
+                if algorithm.kind == "ds_vnlms":
+                    outcome = ds_vnlms_step(state, d[k], algorithm.policy)
+                else:
+                    outcome = vnlms_step(state, d[k], algorithm.mu)
+                oracle.append(record_iteration(w_star, w_before, state.w, outcome, n[k]))
+            runs[f"{name}/{algorithm.label}"] = (engine[algorithm.label], oracle)
+    return runs
+
+
+def verify_rows_reference(rows):
+    """``verify_trace`` as a loop over rows, one rule at a time: the
+    reference its column expressions must reproduce message for message."""
+    problems = []
+    expected_k = 0
+    previous = None
+    for r in rows:
+        if r.k != expected_k:
+            problems.append(f"row k={r.k}: expected k={expected_k}, rows must run k = 0..K-1")
+        expected_k = r.k + 1
+        if previous is not None and not r.wtilde_sq_before == previous.wtilde_sq_after:
+            problems.append(
+                f"row k={r.k}: wtilde_sq_before={r.wtilde_sq_before!r} is not the"
+                f" previous row's wtilde_sq_after={previous.wtilde_sq_after!r}"
+            )
+        previous = r
+        if r.updated and not r.alpha > 0.0:
+            problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
+            continue
+        weight = r.mu_bar / r.alpha if r.updated else 0.0
+        lhs = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
+        rhs = r.wtilde_sq_before + weight * (r.n * r.n)
+        if not (
+            abs(r.lhs - lhs) <= EQUALITY_RTOL * max(1.0, abs(lhs))
+            and abs(r.rhs - rhs) <= EQUALITY_RTOL * max(1.0, abs(rhs))
+        ):
+            problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
+        split = r.e_tilde + r.n
+        if not abs(r.e - split) <= EQUALITY_RTOL * max(1.0, abs(r.e), abs(split)):
+            problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
+        if r.updated:
+            local_ok = r.lhs < r.rhs + LOCAL_SLACK * max(1.0, r.rhs)
+        else:
+            local_ok = abs(r.lhs - r.rhs) <= EQUALITY_RTOL * max(1.0, abs(r.rhs))
+        if not local_ok:
+            problems.append(
+                f"row k={r.k}: local energy inequality violated (lhs={r.lhs!r}, rhs={r.rhs!r})"
+            )
+    error = disturbance = np.float64(0.0)
+    updates = 0
+    with np.errstate(all="ignore"):
+        for i, r in enumerate(rows):
+            weight = np.float64(r.mu_bar) / r.alpha if r.updated else 0.0
+            error += weight * (r.e_tilde * r.e_tilde)
+            disturbance += weight * (r.n * r.n)
+            updates += r.updated
+            den = rows[0].wtilde_sq_before + disturbance
+            ratio = math.nan if den == 0.0 else float((r.wtilde_sq_after + error) / den)
+            if updates and not ratio < 1.0 + LOCAL_SLACK:
+                problems.append(f"prefix K={i + 1}: global ratio {ratio!r} not below one")
+    return problems
+
+
+_FLOAT_FIELDS = tuple(c for c in TRACE_COLUMNS if c not in ("k", "updated"))
+
+
+def tampered(rows, rng):
+    """A copy of ``rows`` with one or two random faults: a NaN field, a zero
+    alpha, a deleted row, a flipped update flag or a scaled field."""
+    rows = list(rows)
+    for _ in range(rng.choice((1, 2))):
+        i = rng.randrange(len(rows))
+        fault = rng.choice(("nan", "zero_alpha", "delete", "flip", "scale"))
+        if fault == "delete":
+            del rows[i]
+        elif fault == "nan":
+            rows[i] = dataclasses.replace(rows[i], **{rng.choice(_FLOAT_FIELDS): math.nan})
+        elif fault == "zero_alpha":
+            rows[i] = dataclasses.replace(rows[i], alpha=0.0)
+        elif fault == "flip":
+            rows[i] = dataclasses.replace(rows[i], updated=not rows[i].updated)
+        else:
+            field = rng.choice(_FLOAT_FIELDS)
+            rows[i] = dataclasses.replace(rows[i], **{field: getattr(rows[i], field) * 1.5 + 1e-3})
+    return rows
+
+
+class TestLedger:
+    def test_rows_columns_and_slices(self, preset_runs):
+        ledger, _ = preset_runs["fig5/ds_time_varying"]
+        rows = list(ledger)
+        assert len(rows) == len(ledger) == PRESET_ITERATIONS
+        assert Ledger.of(rows) == ledger
+        assert ledger[-1] == rows[-1] and ledger[3] == rows[3]
+        assert type(rows[0].updated) is bool and type(rows[0].k) is int
+        assert list(ledger[10:20]) == rows[10:20]
+        with pytest.raises(IndexError):
+            ledger[PRESET_ITERATIONS]
+        assert ledger != dataclasses.replace(ledger, lhs=ledger.lhs + 1.0)
+
+    def test_engine_rows_and_oracle_give_equal_verdicts(self, preset_runs):
+        for where, (ledger, oracle) in preset_runs.items():
+            verdict = summarize_run(ledger, tau_for_bound=5.0)
+            assert summarize_run(list(ledger), tau_for_bound=5.0) == verdict, where
+            want = summarize_run(oracle, tau_for_bound=5.0).as_dict()
+            for key, value in verdict.as_dict().items():
+                if isinstance(value, float):
+                    assert value == pytest.approx(want[key], rel=1e-12, abs=0.0), (where, key)
+                else:
+                    assert value == want[key], (where, key)
+            assert verify_trace(ledger) == verify_trace(oracle) == [], where
+
+    def test_verify_trace_matches_the_row_loop_on_tampered_ledgers(self, preset_runs):
+        rng = random.Random(2)
+        faults = 0
+        for where, (ledger, _) in preset_runs.items():
+            rows = list(ledger)
+            for copy in [rows] + [tampered(rows, rng) for _ in range(8)]:
+                want = verify_rows_reference(copy)
+                assert verify_trace(copy) == want, where
+                assert verify_trace(Ledger.of(copy)) == want, where
+                faults += bool(want)
+        assert faults > 0
 
 
 _TRACE_JUNK = st.one_of(

@@ -6,7 +6,6 @@ import pytest
 from conftest import channel_polynomial_oracle
 from dsvolterra import (
     Channel,
-    DimensionMismatchError,
     NoiseSpec,
     SignalSpec,
     TermIndex,
@@ -16,9 +15,10 @@ from dsvolterra import (
     expand,
     generate_input,
     generate_noise,
-    load_kernel_file,
     position_of,
 )
+from dsvolterra.errors import DimensionMismatchError
+from dsvolterra.harness import load_kernel_file
 
 
 class TestSpecs:

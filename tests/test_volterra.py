@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_terms_oracle, expand_oracle
 from dsvolterra import (
-    DimensionMismatchError,
-    InvalidTermError,
     TermIndex,
     VolterraConfig,
     benchmark_channel,
@@ -19,6 +17,7 @@ from dsvolterra import (
     term_at,
     total_dimension,
 )
+from dsvolterra.errors import DimensionMismatchError, InvalidTermError
 
 
 class TestConfig:
