@@ -251,7 +251,11 @@ def run_rows(
     ring = [False] * window
     count = 0
     d = np.asarray(desired, dtype=np.float64).tolist()
-    w = np.zeros(regressors.shape[1])
+    # rows of a row-major copy are contiguous, like the vector the streaming
+    # path expands; BLAS dot products on the strided rows of a column-major
+    # matrix can round differently
+    rows = np.ascontiguousarray(regressors)
+    w = np.zeros(rows.shape[1])
     for k0 in range(0, len(d), ROW_BLOCK):
         estimates, version, steps = [w], [], []
         for k in range(k0, min(k0 + ROW_BLOCK, len(d))):
@@ -259,12 +263,7 @@ def run_rows(
                 transient = _transient(k, count, window, threshold)
             gamma = gammas[transient]
             version.append(len(estimates) - 1)
-            # a fresh copy of the row, like the one the streaming path expands:
-            # BLAS dot products on an unaligned view of the matrix can round
-            # differently
-            w_next, e, updated, mu_bar, alpha, _ = _update(
-                w, regressors[k].copy(), d[k], delta, gamma, mu
-            )
+            w_next, e, updated, mu_bar, alpha, _ = _update(w, rows[k], d[k], delta, gamma, mu)
             if w_next is not w:
                 w = w_next
                 estimates.append(w)

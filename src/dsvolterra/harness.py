@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
 from .filters import ThresholdPolicy
-from .robustness import Ledger, RunVerdict, format_float, run_ledger, summarize_run, write_trace_csv
+from .robustness import FLOAT_FORMAT, Ledger, RunVerdict, run_ledger, summarize_run, write_trace_csv
 from .signals import (
     Channel,
     NoiseSpec,
@@ -247,8 +247,8 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
 def _write_curve(path: Path, ledger: Ledger, field: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("iteration,value\n")
-        values = map(format_float, getattr(ledger, field).tolist())
-        fh.writelines(f"{k},{v}\n" for k, v in zip(ledger.k.tolist(), values))
+        row = f"%d,{FLOAT_FORMAT}\n"
+        fh.writelines(row % kv for kv in zip(ledger.k.tolist(), getattr(ledger, field).tolist()))
 
 
 def _dump_json(payload, path: Path) -> None:

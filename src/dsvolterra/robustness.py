@@ -163,13 +163,13 @@ def record_iteration(
             f" after {w_after.shape}"
         )
     deviation_before = w_star - w_before
-    wtilde_sq_before = float(deviation_before @ deviation_before)
-    e_tilde = float(deviation_before @ outcome.regressor)
+    wtilde_sq_before = float(deviation_before.dot(deviation_before))
+    e_tilde = float(deviation_before.dot(outcome.regressor))
     if w_after is w_before:
         wtilde_sq_after = wtilde_sq_before
     else:
         deviation_after = w_star - w_after
-        wtilde_sq_after = float(deviation_after @ deviation_after)
+        wtilde_sq_after = float(deviation_after.dot(deviation_after))
     if outcome.updated:
         weight = outcome.mu_bar / outcome.alpha
         lhs = wtilde_sq_after + weight * e_tilde**2
@@ -352,9 +352,10 @@ def summarize_run(
     )
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: lossless round trip for doubles."""
-    return f"{x:.17g}"
+#: 17 significant digits: lossless round trip for doubles
+FLOAT_FORMAT = "%.17g"
+#: one trace CSV row: ``k`` and ``updated`` as integers, the rest as floats
+_TRACE_ROW = ",".join("%d" if c in _DTYPES else FLOAT_FORMAT for c in TRACE_COLUMNS) + "\n"
 
 
 def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
@@ -363,13 +364,8 @@ def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for block in _blocks(rows):
-            fields = [
-                map(str, block.k.tolist()),
-                *(map(format_float, getattr(block, c).tolist()) for c in TRACE_COLUMNS[1:4]),
-                ("1" if u else "0" for u in block.updated.tolist()),
-                *(map(format_float, getattr(block, c).tolist()) for c in TRACE_COLUMNS[5:]),
-            ]
-            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+            columns = [getattr(block, c).tolist() for c in TRACE_COLUMNS]
+            fh.writelines(_TRACE_ROW % row for row in zip(*columns))
 
 
 def read_trace_csv(path) -> Ledger:

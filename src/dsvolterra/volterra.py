@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.typing as npt
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, InvalidTermError
 
@@ -26,6 +27,9 @@ ArrayF = npt.NDArray[np.float64]
 # count bounds tables of few but long terms, such as high orders at memory 0.
 _MAX_DIMENSION = 2_000_000
 _MAX_LAG_ENTRIES = 20_000_000
+
+#: rows per block of :func:`expand_series`; bounds its working memory
+_SERIES_ROWS = 512
 
 
 def _count_terms(order: int, memory: int) -> int:
@@ -104,15 +108,42 @@ class TermIndex:
 
 @lru_cache(maxsize=None)
 def _layout(order: int, memory: int):
-    """Canonical term enumeration plus per-order lag matrices for expansion."""
+    """Canonical term enumeration plus the product-chain tables for expansion.
+
+    ``lasts[i]`` is the last lag of term ``i`` (its own lag for a linear
+    term).  For each order p >= 2, ``chains`` holds the slice of the flat
+    regressor where block p lies and, per term of block p, the flat position
+    of the order p - 1 term formed by its first p - 1 lags.
+    """
     terms: list[TermIndex] = []
-    blocks: list[np.ndarray] = []
+    lasts: list[int] = []
+    chains: list[tuple[slice, np.ndarray]] = []
+    positions: dict[tuple[int, tuple[int, ...]], int] = {}
     for p in range(1, order + 1):
+        start = len(terms)
         tuples = list(itertools.combinations_with_replacement(range(memory + 1), p))
-        terms.extend(TermIndex(p, t) for t in tuples)
-        blocks.append(np.asarray(tuples, dtype=np.intp).reshape(len(tuples), p))
-    positions = {(t.order, t.lags): i for i, t in enumerate(terms)}
-    return tuple(terms), positions, tuple(blocks)
+        for t in tuples:
+            positions[(p, t)] = len(terms)
+            terms.append(TermIndex(p, t))
+            lasts.append(t[-1])
+        if p >= 2:
+            prefix = np.array([positions[(p - 1, t[:-1])] for t in tuples], dtype=np.intp)
+            chains.append((slice(start, len(terms)), prefix))
+    return tuple(terms), positions, (np.asarray(lasts, dtype=np.intp), tuple(chains))
+
+
+def _chain(products: ArrayF, chains) -> ArrayF:
+    """Turn last-lag samples into monomials in place, order by order.
+
+    ``products`` holds, along its first axis, each term's last-lag sample.
+    Block p then becomes block p - 1 at the term's prefix times that sample,
+    so every monomial is multiplied left to right, ``((x_l1 * x_l2) * ...)
+    * x_lp``, exactly as a sequential product of its lags.
+    """
+    for block, prefix in chains:
+        terms = products[block]
+        terms *= products[prefix]
+    return products
 
 
 def total_dimension(config: VolterraConfig) -> int:
@@ -143,34 +174,43 @@ def term_at(position: int, config: VolterraConfig) -> TermIndex:
 def expand(delay_line, config: VolterraConfig) -> ArrayF:
     """Expand a delay line ``[x(k), ..., x(k-N)]`` into the full regressor.
 
-    The linear block is the delay line verbatim; every further entry is the
-    product of the delay-line samples named by its term's lags.
+    The linear block is the delay line verbatim.  Each block of order p >= 2
+    is a product chain: an entry is the entry of block p - 1 named by the
+    term's first p - 1 lags times the sample at its last lag, so each
+    monomial is multiplied left to right from its lags, in lag order.
     """
     dl = np.asarray(delay_line, dtype=np.float64)
     if dl.shape != (config.taps,):
         raise DimensionMismatchError(
             f"delay line must have length {config.taps}, got shape {dl.shape}"
         )
-    _, _, blocks = _layout(config.order, config.memory)
-    return np.concatenate([dl[b].prod(axis=1) for b in blocks])
+    _, _, (lasts, chains) = _layout(config.order, config.memory)
+    return _chain(dl[lasts], chains)
 
 
 def expand_series(signal, config: VolterraConfig) -> ArrayF:
     """Regressor matrix for a whole signal with a zero-primed delay line.
 
     Row ``k`` equals :func:`expand` of the delay line after the samples
-    ``signal[0..k]`` have been pushed.
+    ``signal[0..k]`` have been pushed, bit for bit: the same product chain
+    runs on blocks of ``_SERIES_ROWS`` rows, so the working memory beyond the
+    result is one block.  The result is column-major (Fortran order):
+    callers form ``X @ w`` with BLAS, which rounds a matrix-vector product
+    differently on a row-major matrix, so the layout fixes their results.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatchError("signal must be a 1-D vector")
-    n = x.shape[0]
+    _, _, (lasts, chains) = _layout(config.order, config.memory)
+    # row i of the lag matrix is x delayed by i: column k is the delay line
+    # [x(k), ..., x(k-N)] after sample k
     padded = np.concatenate([np.zeros(config.memory), x])
-    delays = np.column_stack(
-        [padded[config.memory - i : config.memory - i + n] for i in range(config.taps)]
-    )
-    _, _, blocks = _layout(config.order, config.memory)
-    return np.concatenate([delays[:, b].prod(axis=2) for b in blocks], axis=1)
+    lags = sliding_window_view(padded, x.shape[0])[::-1]
+    out = np.empty((x.shape[0], lasts.shape[0]), order="F")
+    for r0 in range(0, x.shape[0], _SERIES_ROWS):
+        rows = slice(r0, r0 + _SERIES_ROWS)
+        out[rows] = _chain(lags[lasts, rows], chains).T
+    return out
 
 
 def embed_kernel(kernel, source: VolterraConfig, target: VolterraConfig) -> ArrayF:

@@ -341,6 +341,14 @@ class TestTraceCsv:
         assert "\r" not in raw
         assert raw.endswith("\n")
 
+    def test_fields_are_integers_and_17_digit_floats(self, tmp_path):
+        values = [-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5, 1e-7, 12345678901234567.0]
+        row = dict(zip(TRACE_COLUMNS[1:4] + TRACE_COLUMNS[5:], values * 2))
+        path = tmp_path / "trace.csv"
+        write_trace_csv([IterationRecord(k=2**62, updated=True, **row)], path)
+        want = [str(2**62)] + [format(row[c], ".17g") if c in row else "1" for c in TRACE_COLUMNS[1:]]
+        assert path.read_text().splitlines()[1] == ",".join(want)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
         path.write_text("a,b,c\n1,2,3\n")

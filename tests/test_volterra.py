@@ -1,5 +1,8 @@
 """Regressor layout: term indexing, expansion, prediction, embedding."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +161,19 @@ class TestExpand:
                     want = expand_oracle(dl, order, memory)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_bit_equal_to_left_to_right_product(self, order):
+        # each monomial is multiplied in lag order, as math.prod does; the
+        # engine's bit-for-bit agreement with the streaming path rests on it
+        rng = np.random.default_rng(100 + order)
+        for memory in range(0, 5):
+            cfg = VolterraConfig(order, memory)
+            terms = enumerate_terms_oracle(order, memory)
+            for _ in range(40):
+                dl = (rng.normal(size=memory + 1) * 10.0 ** rng.uniform(-3, 3, memory + 1)).tolist()
+                want = [math.prod(dl[lag] for lag in lags) for _, lags in terms]
+                np.testing.assert_array_equal(expand(dl, cfg), want)
+
     def test_homogeneity_by_block(self):
         # scaling the delay line by s scales the order-p block by s**p
         rng = np.random.default_rng(3)
@@ -183,6 +199,38 @@ class TestExpandSeries:
             delay[1:] = delay[:-1]
             delay[0] = x[k]
             np.testing.assert_array_equal(matrix[k], expand(delay, cfg))
+
+    @pytest.mark.parametrize("order, memory", [(4, 3), (5, 2)])
+    def test_rows_bit_equal_to_expand_at_high_order(self, order, memory):
+        # long enough to span several row blocks, the last one partial
+        rng = np.random.default_rng(order)
+        cfg = VolterraConfig(order, memory)
+        x = rng.normal(size=1300) * 10.0 ** rng.uniform(-2, 2, 1300)
+        matrix = expand_series(x, cfg)
+        delay = np.zeros(cfg.taps)
+        for k in range(len(x)):
+            delay[1:] = delay[:-1]
+            delay[0] = x[k]
+            np.testing.assert_array_equal(matrix[k], expand(delay, cfg))
+
+    @pytest.mark.parametrize("order, memory", [(1, 3), (2, 0), (3, 0), (3, 3), (3, 8)])
+    def test_matrix_is_column_major(self, order, memory):
+        # callers form d = X @ w* with BLAS gemv, which rounds differently on
+        # a row-major matrix, so the layout fixes d and every update flag
+        x = np.random.default_rng(2).normal(size=700)
+        assert expand_series(x, VolterraConfig(order, memory)).flags.f_contiguous
+
+    def test_working_memory_stays_near_the_result(self):
+        # the chain runs on row blocks, so the only large allocation is the
+        # result itself; gathering every term's lags at once took 3.3x
+        x = np.random.default_rng(5).normal(size=20_000)
+        tracemalloc.start()
+        try:
+            matrix = expand_series(x, VolterraConfig(3, 8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * matrix.nbytes
 
     def test_rejects_matrix_input(self):
         with pytest.raises(DimensionMismatchError):
