@@ -73,8 +73,6 @@ def _resolve_config(args) -> harness.ExperimentConfig:
         else:
             config = harness.preset(args.target)
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
         config = dataclasses.replace(config, trials=args.trials, seeds=None)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed, seeds=None)
@@ -156,19 +154,14 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"run": _cmd_run, "presets": _cmd_presets, "check": _cmd_check, "dims": _cmd_dims}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "presets":
-            return _cmd_presets(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "dims":
-            return _cmd_dims(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import types
 import typing
 from dataclasses import dataclass
 from importlib import resources
@@ -108,8 +109,12 @@ class ExperimentConfig:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             problems.append("algorithms (duplicate labels)")
+        if self.base_seed < 0:
+            problems.append("seed (must be >= 0)")
         if self.seeds is not None and len(self.seeds) != self.trials:
             problems.append("seeds (length must equal trials)")
+        if self.seeds is not None and any(seed < 0 for seed in self.seeds):
+            problems.append("seeds (must be >= 0)")
         if (
             self.channel.config.order > self.volterra.order
             or self.channel.config.memory > self.volterra.memory
@@ -327,14 +332,16 @@ def _typed(value, kind: type, where: str):
 
 
 @functools.cache
-def _spec_fields(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, value type, required) for each field of a flat spec dataclass,
-    leaving out the ``seed`` that runs derive per trial."""
+def _spec_fields(cls) -> tuple[tuple[str, str, object, bool], ...]:
+    """(field, JSON key, type, required) for each field of a config dataclass.
+    ``base_seed`` has the key ``seed``; the ``seed`` that runs derive per trial
+    is left out."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
-            str if typing.get_origin(hints[f.name]) is Literal else hints[f.name],
+            "seed" if f.name == "base_seed" else f.name,
+            hints[f.name],
             f.default is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
@@ -342,48 +349,55 @@ def _spec_fields(cls) -> tuple[tuple[str, type, bool], ...]:
     )
 
 
-def _spec_to_dict(spec) -> dict:
-    return {name: getattr(spec, name) for name, _, _ in _spec_fields(type(spec))}
+def _encode(value):
+    """The JSON form of a config value, mirroring :func:`_decode`."""
+    if isinstance(value, Channel):
+        return _channel_to_obj(value)
+    if dataclasses.is_dataclass(value):
+        return {
+            key: _encode(getattr(value, name))
+            for name, key, _, _ in _spec_fields(type(value))
+            if getattr(value, name) is not None
+        }
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _spec_from_dict(cls, obj, where: str):
-    fields = _spec_fields(cls)
-    _check_keys(
-        obj,
-        where,
-        required={name for name, _, required in fields if required},
-        optional={name for name, _, required in fields if not required},
-    )
-    kinds = {name: kind for name, kind, _ in fields}
-    values = {key: _typed(value, kinds[key], f"{where}.{key}") for key, value in obj.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _algorithm_to_dict(alg: AlgorithmSpec) -> dict:
-    out: dict = {"label": alg.label, "kind": alg.kind}
-    if alg.policy is not None:
-        out["policy"] = _spec_to_dict(alg.policy)
-    if alg.mu is not None:
-        out["mu"] = alg.mu
-    return out
-
-
-def _algorithm_from_dict(obj, where: str) -> AlgorithmSpec:
-    _check_keys(obj, where, required={"label", "kind"}, optional={"policy", "mu"})
-    label = _typed(obj["label"], str, f"{where}.label")
-    policy = (
-        _spec_from_dict(ThresholdPolicy, obj["policy"], f"{where}.policy")
-        if "policy" in obj
-        else None
-    )
-    mu = _typed(obj["mu"], float, f"{where}.mu") if "mu" in obj else None
-    try:
-        return AlgorithmSpec(label=label, kind=obj["kind"], policy=policy, mu=mu)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _decode(kind, value, where: str, base_path: Path | None = None):
+    """``value`` read as a ``kind``: a config dataclass from an object whose
+    keys are its fields, a tuple from a list, ``X | None`` from null or an X,
+    a ``Literal`` as a string, a scalar by :func:`_typed`, and a channel by
+    its own codec (relative kernel files resolve against ``base_path``)."""
+    if kind is Channel:
+        return _channel_from_obj(value, where, base_path)
+    if dataclasses.is_dataclass(kind):
+        fields = _spec_fields(kind)
+        _check_keys(
+            value,
+            where,
+            required={key for _, key, _, required in fields if required},
+            optional={key for _, key, _, required in fields if not required},
+        )
+        values = {
+            name: _decode(field_kind, value[key], f"{where}.{key}", base_path)
+            for name, key, field_kind, _ in fields
+            if key in value
+        }
+        try:
+            return kind(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    origin = typing.get_origin(kind)
+    if origin is tuple:
+        item_kind = typing.get_args(kind)[0]
+        return tuple(
+            _decode(item_kind, item, f"{where}[{i}]", base_path)
+            for i, item in enumerate(_typed(value, list, where))
+        )
+    if origin is types.UnionType:
+        return None if value is None else _decode(typing.get_args(kind)[0], value, where, base_path)
+    return _typed(value, str if origin is Literal else kind, where)
 
 
 def _channel_to_obj(channel: Channel):
@@ -403,9 +417,7 @@ def _channel_from_terms(obj, where: str, optional: set[str]) -> Channel:
     list; a channel has no regularization of its own, so one among the
     ``optional`` keys is checked but not kept."""
     _check_keys(obj, where, required={"order", "memory", "terms"}, optional=optional)
-    given = _spec_from_dict(
-        VolterraConfig, {k: v for k, v in obj.items() if k != "terms"}, where
-    )
+    given = _decode(VolterraConfig, {k: v for k, v in obj.items() if k != "terms"}, where)
     layout = VolterraConfig(given.order, given.memory)
     kernel = np.zeros(total_dimension(layout))
     for i, entry in enumerate(_typed(obj["terms"], list, f"{where}.terms")):
@@ -457,72 +469,29 @@ def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
 
 
 def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) -> dict:
-    out: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "name": config.name,
-        "description": config.description,
-        "volterra": _spec_to_dict(config.volterra),
-        "channel": _channel_to_obj(config.channel),
-        "input": _spec_to_dict(config.input),
-        "noise": _spec_to_dict(config.noise),
-        "algorithms": [_algorithm_to_dict(a) for a in config.algorithms],
-        "iterations": config.iterations,
-        "trials": config.trials,
-    }
+    """The JSON object of a config: ``seed`` only when no ``seeds`` pin the
+    trials, ``output_dir`` only when set and asked for."""
+    out = {"schema_version": SCHEMA_VERSION, **_encode(config)}
     if config.seeds is not None:
-        out["seeds"] = list(config.seeds)
-    else:
-        out["seed"] = config.base_seed
-    if include_output_dir and config.output_dir is not None:
-        out["output_dir"] = config.output_dir
+        del out["seed"]
+    if not include_output_dir:
+        out.pop("output_dir", None)
     return out
 
 
-#: optional top-level scalars: JSON key -> (ExperimentConfig field, value type)
-_CONFIG_SCALARS = {
-    "description": ("description", str),
-    "iterations": ("iterations", int),
-    "trials": ("trials", int),
-    "seed": ("base_seed", int),
-}
-
-
 def config_from_dict(payload: Mapping, base_path: Path | None = None) -> ExperimentConfig:
-    _check_keys(
-        payload,
-        "config",
-        required={"schema_version", "name", "volterra", "channel", "input", "noise", "algorithms"},
-        optional={"description", "iterations", "trials", "seed", "seeds", "output_dir"},
-    )
-    if payload["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config: unsupported schema_version {payload['schema_version']!r}"
-            f" (expected {SCHEMA_VERSION})"
-        )
-    scalars = {
-        field: _typed(payload[key], kind, f"config.{key}")
-        for key, (field, kind) in _CONFIG_SCALARS.items()
-        if key in payload
-    }
-    if "seeds" in payload:
-        scalars["seeds"] = tuple(
-            _typed(s, int, f"config.seeds[{i}]")
-            for i, s in enumerate(_typed(payload["seeds"], list, "config.seeds"))
-        )
-    if payload.get("output_dir") is not None:
-        scalars["output_dir"] = _typed(payload["output_dir"], str, "config.output_dir")
-    return ExperimentConfig(
-        name=_typed(payload["name"], str, "config.name"),
-        volterra=_spec_from_dict(VolterraConfig, payload["volterra"], "config.volterra"),
-        channel=_channel_from_obj(payload["channel"], "config.channel", base_path),
-        input=_spec_from_dict(SignalSpec, payload["input"], "config.input"),
-        noise=_spec_from_dict(NoiseSpec, payload["noise"], "config.noise"),
-        algorithms=tuple(
-            _algorithm_from_dict(a, f"config.algorithms[{i}]")
-            for i, a in enumerate(_typed(payload["algorithms"], list, "config.algorithms"))
-        ),
-        **scalars,
-    )
+    """A config from its JSON object, decoded like every nested spec once its
+    ``schema_version`` is checked."""
+    if isinstance(payload, Mapping):
+        if "schema_version" not in payload:
+            raise ConfigError("config: missing ['schema_version']")
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise ConfigError(
+                f"config: unsupported schema_version {payload['schema_version']!r}"
+                f" (expected {SCHEMA_VERSION})"
+            )
+        payload = {key: value for key, value in payload.items() if key != "schema_version"}
+    return _decode(ExperimentConfig, payload, "config", base_path)
 
 
 def load_config(path) -> ExperimentConfig:

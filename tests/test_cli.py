@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import time
@@ -140,6 +141,18 @@ class TestRun:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["run", "fig9"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--seed", "-1"], "seed"), (["--trials", "0"], "trials")],
+        ids=["negative_seed", "zero_trials"],
+    )
+    def test_invalid_override_names_the_field(self, flags, field, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "fig1a", *flags, "--out", str(out_dir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
+        assert not out_dir.exists()
+
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1}')
@@ -248,6 +261,7 @@ class TestUsage:
             [sys.executable, "-m", "dsvolterra", "dims", "2", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(PRESET_DIR.parent.parent)},
         )
         assert proc.returncode == EXIT_OK
         assert "dimension=5" in proc.stdout

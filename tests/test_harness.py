@@ -288,6 +288,9 @@ MALFORMED = [
         "config.algorithms[0].policy.window_length",
     ),
     ("top_level_list", lambda payload, directory: [payload], "config"),
+    ("kind_not_a_string", _setter("algorithms", 0, "kind", value=5), "config.algorithms[0].kind"),
+    ("zero_iterations", _setter("iterations", value=0), "config"),
+    ("negative_seed", _setter("seed", value=-5), "config"),
     ("kernel_file_without_terms", _kernel_without_terms, "/kernel.json"),
 ]
 
@@ -310,6 +313,23 @@ class TestMalformedConfig:
         assert captured.err.startswith(f"error: {where}:"), captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("output_dir",), ("seeds",), ("algorithms", 0, "mu"), ("algorithms", 1, "policy")],
+        ids=["output_dir", "seeds", "ds_mu", "vnlms_policy"],
+    )
+    def test_null_is_an_absent_key(self, path):
+        baseline = AlgorithmSpec(label="baseline", kind="vnlms", mu=0.8)
+        config = small_config(algorithms=(*small_config().algorithms, baseline), output_dir="o")
+        absent = config_to_dict(config)
+        target = absent
+        for key in path[:-1]:
+            target = target[key]
+        target.pop(path[-1], None)
+        null = copy.deepcopy(absent)
+        _setter(*path, value=None)(null, None)
+        assert config_from_dict(null) == config_from_dict(absent)
 
     def test_ints_widen_to_float(self):
         payload = config_to_dict(small_config())
