@@ -1,7 +1,7 @@
 """Command line: run experiments, list presets, re-verify traces, show layouts.
 
-Exit codes: 0 success, 1 usage or config error, 2 I/O error, 3 verification
-failure (from ``check``).
+Exit codes: 0 success, 1 usage, config or out-of-memory error, 2 I/O error,
+3 verification failure (from ``check``).
 """
 
 from __future__ import annotations
@@ -165,8 +165,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

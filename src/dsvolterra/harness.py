@@ -485,7 +485,7 @@ def config_from_dict(payload: Mapping, base_path: Path | None = None) -> Experim
     if isinstance(payload, Mapping):
         if "schema_version" not in payload:
             raise ConfigError("config: missing ['schema_version']")
-        if payload["schema_version"] != SCHEMA_VERSION:
+        if _typed(payload["schema_version"], int, "config.schema_version") != SCHEMA_VERSION:
             raise ConfigError(
                 f"config: unsupported schema_version {payload['schema_version']!r}"
                 f" (expected {SCHEMA_VERSION})"

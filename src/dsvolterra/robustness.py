@@ -246,13 +246,6 @@ def run_ledger(
     return dataclasses.replace(ledger, lhs=after + error_energy, rhs=before + noise_energy)
 
 
-def _blocks(rows: Ledger | Sequence[IterationRecord]) -> Iterator[Ledger]:
-    """Consecutive Ledgers of at most ``ROW_BLOCK`` rows, so that a long row
-    sequence is never converted whole."""
-    for start in range(0, len(rows), ROW_BLOCK):
-        yield Ledger.of(rows[start : start + ROW_BLOCK])
-
-
 def _equal(value: ArrayF, reference: ArrayF) -> np.ndarray:
     """``value`` equals ``reference`` to ``EQUALITY_RTOL``, relative above one;
     written as "<=" so that a NaN on either side is a mismatch."""
@@ -302,53 +295,37 @@ def summarize_run(
 ) -> RunVerdict:
     """Collapse a completed ledger, or its rows, into the flat per-run verdict.
 
-    The global ratio is the last prefix ratio, its weighted sums added in row
-    order; with no updates it collapses to the vacuous boundary value 1, and
-    with zero disturbance energy it is NaN.  The ledger is folded in blocks
-    of ``ROW_BLOCK`` rows.
+    Every count is taken over a whole column.  The global ratio is the last
+    prefix ratio, the number :func:`verify_trace` tests against one: with no
+    updates it collapses to the vacuous boundary value 1, and with zero
+    disturbance energy it is NaN.
     """
-    total = len(rows)
+    ledger = Ledger.of(rows)
+    total = len(ledger)
     if not total:
         raise ValueError("cannot summarize an empty ledger")
-    first, last = rows[0], rows[-1]
-    num, den = last.wtilde_sq_after, first.wtilde_sq_before
-    # updates, local and conditional violations, increases, increases in transient
-    counts = np.zeros(5, dtype=np.int64)
-    for block in _blocks(rows):
-        updated, e_tilde, n = block.updated, block.e_tilde, block.n
-        after, before = block.wtilde_sq_after, block.wtilde_sq_before
-        error_energy, noise_energy = _weighted_energies(block)
-        # running sums in row order, as a sequential loop adds them
-        num = np.cumsum(np.append(num, error_energy[updated]))[-1]
-        den = np.cumsum(np.append(den, noise_energy[updated]))[-1]
-        increased = after > before
-        # conditional improvement: where an update's noiseless error dominates
-        # the noise, the deviation energy strictly decreases
-        with np.errstate(all="ignore"):
-            improved = ~updated | (e_tilde * e_tilde < n * n) | (after < before)
-        counts += [
-            np.count_nonzero(updated),
-            np.count_nonzero(~_local_ok(block)),
-            np.count_nonzero(~improved),
-            np.count_nonzero(increased),
-            0 if block.in_transient is None else np.count_nonzero(increased & block.in_transient),
-        ]
-    updates, local, conditional, increases, in_transient = counts.tolist()
+    updated, e_tilde, n = ledger.updated, ledger.e_tilde, ledger.n
+    after, before = ledger.wtilde_sq_after, ledger.wtilde_sq_before
+    increased = after > before
+    transient = ledger.in_transient if ledger.in_transient is not None else False
+    # conditional improvement: where an update's noiseless error dominates
+    # the noise, the deviation energy strictly decreases
     with np.errstate(all="ignore"):
-        ratio = math.nan if den == 0.0 else float(num / den)
+        improved = ~updated | (e_tilde * e_tilde < n * n) | (after < before)
+    updates, increases = int(np.count_nonzero(updated)), int(np.count_nonzero(increased))
     return RunVerdict(
         total_iterations=total,
         update_count=updates,
         update_rate=updates / total,
-        local_violations=local,
-        conditional_violations=conditional,
-        global_ratio=ratio,
+        local_violations=int(np.count_nonzero(~_local_ok(ledger))),
+        conditional_violations=int(np.count_nonzero(~improved)),
+        global_ratio=prefix_ratios(ledger)[-1].item(),
         increase_count=increases,
         increase_fraction=increases / total,
-        increases_in_transient=in_transient,
+        increases_in_transient=int(np.count_nonzero(increased & transient)),
         erfc_bound=erfc_bound(tau_for_bound) if tau_for_bound is not None else None,
-        wtilde_sq_initial=first.wtilde_sq_before,
-        wtilde_sq_final=last.wtilde_sq_after,
+        wtilde_sq_initial=before[0].item(),
+        wtilde_sq_final=after[-1].item(),
     )
 
 
@@ -361,10 +338,11 @@ _TRACE_ROW = ",".join("%d" if c in _DTYPES else FLOAT_FORMAT for c in TRACE_COLU
 def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
     """Emit the ledger as CSV: header row, LF endings, '.' decimals, floats
     at 17 significant digits so a re-read reproduces every bit."""
+    ledger = Ledger.of(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for block in _blocks(rows):
-            columns = [getattr(block, c).tolist() for c in TRACE_COLUMNS]
+        for k0 in range(0, len(ledger), ROW_BLOCK):
+            columns = [getattr(ledger, c)[k0 : k0 + ROW_BLOCK].tolist() for c in TRACE_COLUMNS]
             fh.writelines(_TRACE_ROW % row for row in zip(*columns))
 
 

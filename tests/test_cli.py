@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from dsvolterra import harness
 from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from dsvolterra.robustness import read_trace_csv, write_trace_csv
+from dsvolterra.robustness import prefix_ratios, read_trace_csv, summarize_run, write_trace_csv
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets"
 SMALL_CONFIG = {
@@ -163,6 +164,48 @@ class TestRun:
         blocker.write_text("")
         code = main(["run", str(small_config_path), "--out", str(blocker / "nested")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 3.64 TiB for an array", None), ("", "MemoryError")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_one_error_line(
+        self, message, line, small_config_path, tmp_path, monkeypatch, capsys
+    ):
+        # the error is raised in place of the run, so nothing is allocated
+        def exhausted(config, out_dir):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness, "compare_algorithms", exhausted)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(small_config_path), "--out", str(out_dir)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line or message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PRESET_DIR.glob("*.json")))
+    def test_summary_rederives_from_trace(self, name, tmp_path):
+        # increases_in_transient is left out: the trace has no in_transient column
+        fields = (
+            "total_iterations", "update_count", "update_rate", "local_violations",
+            "conditional_violations", "increase_count", "increase_fraction",
+            "global_ratio", "wtilde_sq_initial", "wtilde_sq_final",
+        )
+        out_dir = tmp_path / "out"
+        argv = ["run", name, "--trials", "2", "--seed", "1", "--out", str(out_dir), "--quiet"]
+        assert main(argv) == EXIT_OK
+        summaries = sorted(out_dir.glob("trial_*/*/summary.json"))
+        assert len(summaries) == 2 * len(harness.preset(name).algorithms)
+        runs = json.loads((out_dir / "summary.json").read_text())["runs"]
+        for path in summaries:
+            run = json.loads(path.read_text())
+            assert run in runs, path
+            ledger = read_trace_csv(path.parent / "trace.csv")
+            verdict = summarize_run(ledger)
+            rederived = verdict.as_dict()
+            assert {f: rederived[f] for f in fields} == {f: run[f] for f in fields}, path
+            assert verdict.global_ratio == prefix_ratios(ledger)[-1].item(), path
 
     def test_reruns_byte_identical(self, small_config_path, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

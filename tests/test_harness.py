@@ -292,6 +292,8 @@ MALFORMED = [
     ("zero_iterations", _setter("iterations", value=0), "config"),
     ("negative_seed", _setter("seed", value=-5), "config"),
     ("kernel_file_without_terms", _kernel_without_terms, "/kernel.json"),
+    ("schema_version_true", _setter("schema_version", value=True), "config.schema_version"),
+    ("schema_version_float", _setter("schema_version", value=1.0), "config.schema_version"),
 ]
 
 

@@ -237,6 +237,12 @@ class TestGlobalRatio:
         assert math.isnan(verdict.global_ratio)
         assert verdict.as_dict()["global_ratio"] is None
 
+    def test_is_the_last_prefix_ratio(self):
+        # the number summary.json reports is the one check tests, bit for bit
+        records = random_run(seed=8)
+        for rows in (records, Ledger.of(records)):
+            assert summarize_run(rows).global_ratio == prefix_ratios(rows)[-1].item()
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             summarize_run([])
