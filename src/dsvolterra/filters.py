@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ class ThresholdPolicy:
             raise ValueError(f"tau_transient must lie in [1, 5], got {self.tau_transient!r}")
         if not 5.0 <= self.tau_steady <= 9.0:
             raise ValueError(f"tau_steady must lie in [5, 9], got {self.tau_steady!r}")
+        for name in ("window_length", "steady_update_threshold"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window_length < 1:
             raise ValueError(f"window_length must be >= 1, got {self.window_length!r}")
         if not 1 <= self.steady_update_threshold <= self.window_length:
@@ -217,62 +220,6 @@ def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
 def _check_step_size(mu: float) -> None:
     if not 0.0 < mu < 2.0:
         raise ValueError(f"step size must lie in (0, 2), got {mu!r}")
-
-
-#: rows per block yielded by :func:`run_rows`; bounds the estimates it holds
-#: at O(block x D) however long the run
-ROW_BLOCK = 512
-
-
-def run_rows(
-    regressors: ArrayF, desired: ArrayF, delta: float, law: ThresholdPolicy | float
-) -> Iterator[tuple[int, list[ArrayF], list[int], list[tuple]]]:
-    """A whole run over precomputed, finite regressor rows, from the zero
-    estimate: the steps :func:`ds_vnlms_step` (``law`` a policy) or
-    :func:`vnlms_step` (``law`` a step size) take on the same rows.
-
-    Yields ``(k0, estimates, version, steps)`` per block of at most
-    ``ROW_BLOCK`` steps from ``k0`` on: the distinct estimates in force (the
-    first before step ``k0``, the last after the block), the index into them
-    of the estimate before each step, and each step's
-    ``(e, updated, mu_bar, alpha, gamma_used, in_transient)``.  For a policy
-    the update flags of its last ``window_length`` steps are kept in a ring
-    with their count; a step size runs no detector, every step is transient.
-    """
-    if isinstance(law, ThresholdPolicy):
-        mu = None
-        window, threshold = law.window_length, law.steady_update_threshold
-        gammas = (_gamma(law, False), _gamma(law, True))
-    else:
-        _check_step_size(law)
-        mu, window, threshold = law, 0, 0
-        gammas = (0.0, 0.0)
-    transient = True
-    ring = [False] * window
-    count = 0
-    d = np.asarray(desired, dtype=np.float64).tolist()
-    # rows of a row-major copy are contiguous, like the vector the streaming
-    # path expands; BLAS dot products on the strided rows of a column-major
-    # matrix can round differently
-    rows = np.ascontiguousarray(regressors)
-    w = np.zeros(rows.shape[1])
-    for k0 in range(0, len(d), ROW_BLOCK):
-        estimates, version, steps = [w], [], []
-        for k in range(k0, min(k0 + ROW_BLOCK, len(d))):
-            if mu is None:
-                transient = _transient(k, count, window, threshold)
-            gamma = gammas[transient]
-            version.append(len(estimates) - 1)
-            w_next, e, updated, mu_bar, alpha, _ = _update(w, rows[k], d[k], delta, gamma, mu)
-            if w_next is not w:
-                w = w_next
-                estimates.append(w)
-            steps.append((e, updated, mu_bar, alpha, gamma, transient))
-            if mu is None:
-                slot = k % window
-                count += updated - ring[slot]
-                ring[slot] = updated
-        yield k0, estimates, version, steps
 
 
 def gamma_for_known_bound(noise_bound: float) -> float:

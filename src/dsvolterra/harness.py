@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
 from .filters import ThresholdPolicy
-from .robustness import FLOAT_FORMAT, Ledger, RunVerdict, run_ledger, summarize_run, write_trace_csv
+from .robustness import Ledger, RunVerdict, run_ledger, summarize_run, write_csv, write_trace_csv
 from .signals import (
     Channel,
     NoiseSpec,
@@ -249,13 +249,6 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _write_curve(path: Path, ledger: Ledger, field: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,value\n")
-        row = f"%d,{FLOAT_FORMAT}\n"
-        fh.writelines(row % kv for kv in zip(ledger.k.tolist(), getattr(ledger, field).tolist()))
-
-
 def _dump_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -272,9 +265,9 @@ def _write_outputs(config: ExperimentConfig, result: dict, target: Path) -> None
             ledger = trial["records"][label]
             verdict: RunVerdict = trial["verdicts"][label]
             write_trace_csv(ledger, run_dir / "trace.csv")
-            _write_curve(run_dir / "curve_lhs.csv", ledger, "lhs")
-            _write_curve(run_dir / "curve_rhs.csv", ledger, "rhs")
-            _write_curve(run_dir / "curve_wtilde_sq.csv", ledger, "wtilde_sq_before")
+            curves = {"lhs": ledger.lhs, "rhs": ledger.rhs, "wtilde_sq": ledger.wtilde_sq_before}
+            for name, column in curves.items():
+                write_csv(run_dir / f"curve_{name}.csv", ("iteration", "value"), (ledger.k, column))
             summary = {
                 "experiment": config.name,
                 "trial": trial["index"],

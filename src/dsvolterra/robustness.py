@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -27,8 +28,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .filters import ROW_BLOCK, StepOutcome, ThresholdPolicy, run_rows
-from .volterra import ArrayF
+from .filters import StepOutcome, ThresholdPolicy, _check_step_size, _gamma, _transient, _update
+from .volterra import ROW_BLOCK, ArrayF
 
 #: relative slack for the strict branch of the local inequality
 LOCAL_SLACK = 1e-10
@@ -214,26 +215,58 @@ def run_ledger(
     delta: float,
     law: ThresholdPolicy | float,
 ) -> Ledger:
-    """The ledger of :func:`filters.run_rows` over precomputed, finite
-    regressor rows: the rows :func:`record_iteration` gives for the same
-    steps, built per block with array operations.
+    """A whole run over precomputed, finite regressor rows, from the zero
+    estimate, as a ledger: the steps :func:`filters.ds_vnlms_step` (``law`` a
+    policy) or :func:`filters.vnlms_step` (``law`` a step size) take on the
+    same rows, and the rows :func:`record_iteration` gives for them.
 
-    Each distinct estimate's deviation energy is computed once, so a step
-    that leaves the estimate unchanged keeps its energy exactly.
+    A policy's last ``window_length`` update flags are kept in a ring with
+    their count; a step size runs no detector, every step is transient.  Per
+    block of ``ROW_BLOCK`` steps each distinct estimate's deviation energy is
+    computed once, so a step that leaves the estimate unchanged keeps it exactly.
     """
-    size = len(desired)
+    if isinstance(law, ThresholdPolicy):
+        mu = None
+        window, threshold = law.window_length, law.steady_update_threshold
+        gammas = (_gamma(law, False), _gamma(law, True))
+    else:
+        _check_step_size(law)
+        mu, window, threshold = law, 0, 0
+        gammas = (0.0, 0.0)
+    transient, ring, count = True, [False] * window, 0
+    d = np.asarray(desired, dtype=np.float64).tolist()
+    size = len(d)
+    # rows of a row-major copy are contiguous, like the vector the streaming
+    # path expands; BLAS dot products on the strided rows of a column-major
+    # matrix can round differently
+    x = np.ascontiguousarray(regressors)
+    w = np.zeros(x.shape[1])
     # e, updated, mu_bar, alpha, gamma_used, in_transient per step
     steps = np.empty((6, size))
     e_tilde, before, after = np.empty((3, size))
-    for k0, estimates, version, block in run_rows(regressors, desired, delta, law):
-        rows = slice(k0, k0 + len(block))
+    for k0 in range(0, size, ROW_BLOCK):
+        rows = slice(k0, k0 + ROW_BLOCK)
+        estimates, version, block = [w], [], []
+        for k in range(*rows.indices(size)):
+            if mu is None:
+                transient = _transient(k, count, window, threshold)
+            gamma = gammas[transient]
+            version.append(len(estimates) - 1)
+            w_next, e, updated, mu_bar, alpha, _ = _update(w, x[k], d[k], delta, gamma, mu)
+            if w_next is not w:
+                w = w_next
+                estimates.append(w)
+            block.append((e, updated, mu_bar, alpha, gamma, transient))
+            if mu is None:
+                slot = k % window
+                count += updated - ring[slot]
+                ring[slot] = updated
+        # index of the estimate in force before each step, and after the last
+        version = np.append(version, len(estimates) - 1)
         deviation = w_star - np.array(estimates)
         energy = np.einsum("ij,ij->i", deviation, deviation)
-        before_version = np.asarray(version)
-        after_version = np.append(before_version[1:], len(estimates) - 1)
-        e_tilde[rows] = np.einsum("ij,ij->i", deviation[before_version], regressors[rows])
-        before[rows] = energy[before_version]
-        after[rows] = energy[after_version]
+        e_tilde[rows] = np.einsum("ij,ij->i", deviation[version[:-1]], regressors[rows])
+        before[rows], after[rows] = energy[version[:-1]], energy[version[1:]]
         steps[:, rows] = np.transpose(block)
     e, updated, mu_bar, alpha, gamma_used, in_transient = steps
     noise = np.array(noise, dtype=np.float64)
@@ -331,24 +364,36 @@ def summarize_run(
 
 #: 17 significant digits: lossless round trip for doubles
 FLOAT_FORMAT = "%.17g"
-#: one trace CSV row: ``k`` and ``updated`` as integers, the rest as floats
-_TRACE_ROW = ",".join("%d" if c in _DTYPES else FLOAT_FORMAT for c in TRACE_COLUMNS) + "\n"
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Emit equal-length columns as CSV: header row, LF endings, '.' decimals,
+    integer and bool columns as integers, floats at 17 significant digits so
+    a re-read reproduces every bit; ``ROW_BLOCK`` rows at a time."""
+    row = ",".join("%d" if c.dtype.kind in "biu" else FLOAT_FORMAT for c in columns) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k0 in range(0, len(columns[0]), ROW_BLOCK):
+            block = [c[k0 : k0 + ROW_BLOCK].tolist() for c in columns]
+            fh.writelines(row % values for values in zip(*block))
 
 
 def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
-    """Emit the ledger as CSV: header row, LF endings, '.' decimals, floats
-    at 17 significant digits so a re-read reproduces every bit."""
+    """Emit the ledger's trace columns with :func:`write_csv`."""
     ledger = Ledger.of(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for k0 in range(0, len(ledger), ROW_BLOCK):
-            columns = [getattr(ledger, c)[k0 : k0 + ROW_BLOCK].tolist() for c in TRACE_COLUMNS]
-            fh.writelines(_TRACE_ROW % row for row in zip(*columns))
+    write_csv(path, TRACE_COLUMNS, [getattr(ledger, c) for c in TRACE_COLUMNS])
+
+
+#: each trace field as :func:`write_trace_csv` emits it: ``k`` and ``updated``
+#: by ``%d``, the rest by FLOAT_FORMAT, with inf and nan left to the finite check
+_FLOAT_AS_WRITTEN = r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan"
+_AS_WRITTEN = [r"-?[0-9]{1,19}" if c in _DTYPES else _FLOAT_AS_WRITTEN for c in TRACE_COLUMNS]
+_ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
 
 
 def read_trace_csv(path) -> Ledger:
-    """Read back a trace written by :func:`write_trace_csv`; every field must
-    be a finite number, ``k`` a 64-bit integer and ``updated`` 0 or 1.  A
+    """Read back a trace written by :func:`write_trace_csv`: every field as it
+    writes one and finite, ``k`` a 64-bit integer and ``updated`` 0 or 1.  A
     ``ValueError`` names the path and line of the first fault."""
     raw = Path(path).read_bytes()
     try:
@@ -364,16 +409,16 @@ def read_trace_csv(path) -> Ledger:
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} columns")
-        try:
-            k = int(parts[0])
-            values = list(map(float, parts[1:]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if parts[4] not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: column updated must be 0 or 1")
+        if not _ROW_AS_WRITTEN.fullmatch(line):
+            i = next(i for i, f in enumerate(parts) if not re.fullmatch(_AS_WRITTEN[i], f))
+            raise ValueError(f"{path}:{lineno}: column {TRACE_COLUMNS[i]} is malformed")
+        k = int(parts[0])
+        values = list(map(float, parts[1:]))
         if not all(map(math.isfinite, values)):
             column = next(c for c, v in zip(TRACE_COLUMNS[1:], values) if not math.isfinite(v))
             raise ValueError(f"{path}:{lineno}: column {column} is not finite")
-        if parts[4] not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: column updated must be 0 or 1")
         if not -(2**63) <= k < 2**63:
             raise ValueError(f"{path}:{lineno}: column k is out of range")
         ks.append(k)

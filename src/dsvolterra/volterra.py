@@ -28,8 +28,8 @@ ArrayF = npt.NDArray[np.float64]
 _MAX_DIMENSION = 2_000_000
 _MAX_LAG_ENTRIES = 20_000_000
 
-#: rows per block of :func:`expand_series`; bounds its working memory
-_SERIES_ROWS = 512
+#: rows per block of expand_series, run_ledger and write_trace_csv; bounds memory
+ROW_BLOCK = 512
 
 
 def _count_terms(order: int, memory: int) -> int:
@@ -68,10 +68,10 @@ class VolterraConfig:
     regularization: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
-        if not isinstance(self.memory, int) or self.memory < 0:
-            raise ValueError(f"memory must be an integer >= 0, got {self.memory!r}")
+        for name, low in (("order", 1), ("memory", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         delta = float(self.regularization)
         if not math.isfinite(delta) or delta < 0.0:
             raise ValueError(
@@ -193,7 +193,7 @@ def expand_series(signal, config: VolterraConfig) -> ArrayF:
 
     Row ``k`` equals :func:`expand` of the delay line after the samples
     ``signal[0..k]`` have been pushed, bit for bit: the same product chain
-    runs on blocks of ``_SERIES_ROWS`` rows, so the working memory beyond the
+    runs on blocks of ``ROW_BLOCK`` rows, so the working memory beyond the
     result is one block.  The result is column-major (Fortran order):
     callers form ``X @ w`` with BLAS, which rounds a matrix-vector product
     differently on a row-major matrix, so the layout fixes their results.
@@ -207,8 +207,8 @@ def expand_series(signal, config: VolterraConfig) -> ArrayF:
     padded = np.concatenate([np.zeros(config.memory), x])
     lags = sliding_window_view(padded, x.shape[0])[::-1]
     out = np.empty((x.shape[0], lasts.shape[0]), order="F")
-    for r0 in range(0, x.shape[0], _SERIES_ROWS):
-        rows = slice(r0, r0 + _SERIES_ROWS)
+    for r0 in range(0, x.shape[0], ROW_BLOCK):
+        rows = slice(r0, r0 + ROW_BLOCK)
         out[rows] = _chain(lags[lasts, rows], chains).T
     return out
 

@@ -32,7 +32,8 @@ from dsvolterra import (
     vnlms_step,
 )
 from dsvolterra import harness
-from dsvolterra.filters import run_rows
+from dsvolterra.robustness import run_ledger
+from dsvolterra.volterra import ROW_BLOCK
 
 SEEDS = tuple(range(1, 11))
 ITERATIONS = 1000
@@ -101,6 +102,24 @@ def test_engine_matches_streaming_oracle(name):
         assert len(threshold_states) == 2
 
 
+@pytest.mark.parametrize("iterations", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK])
+def test_engine_matches_streaming_oracle_at_block_edges(iterations):
+    # one row, one full block, one row past it, two full blocks
+    config = dataclasses.replace(harness.preset("fig5"), iterations=iterations)
+    x, _, n, w_star, d = harness._realization(config, 1)
+    engine = harness.run_trial(config, 1)
+    for algorithm in config.algorithms:
+        got = engine[algorithm.label]
+        want = _streaming(config, algorithm, x, d, n, w_star)
+        assert len(got) == len(want) == iterations, algorithm.label
+        for field in EXACT:
+            assert np.array_equal(_column(got, field), _column(want, field)), field
+        for field in CLOSE:
+            a, b = _column(got, field), _column(want, field)
+            assert np.all(np.abs(a - b) <= REL_TOL * np.maximum(1.0, np.abs(b))), field
+        assert np.array_equal(got.wtilde_sq_before[1:], got.wtilde_sq_after[:-1])
+
+
 @pytest.mark.parametrize("signal", ["x", "d"])
 def test_non_finite_input_rejected(signal):
     config = _config("fig5")
@@ -122,7 +141,7 @@ def test_desired_signal_is_the_channel_response():
 
 @pytest.mark.parametrize("window", [10, 30])
 def test_streaming_detector_takes_the_policy_window(window):
-    # a default streaming state against the engine's row loop on the same rows:
+    # a default streaming state against the engine on the same rows:
     # the detector window comes from the policy alone, on both paths
     layout = VolterraConfig(2, 3)
     channel = benchmark_channel()
@@ -137,7 +156,9 @@ def test_streaming_detector_takes_the_policy_window(window):
         push_sample(state, x[k])
         out = ds_vnlms_step(state, d[k], policy)
         streamed.append((out.updated, out.in_transient, out.gamma_used))
-    rows = run_rows(expand_series(x, layout), d, layout.regularization, policy)
-    engine = [(s[1], s[5], s[4]) for _, _, _, steps in rows for s in steps]
+    ledger = run_ledger(expand_series(x, layout), d, n, w_star, layout.regularization, policy)
+    engine = list(
+        zip(ledger.updated.tolist(), ledger.in_transient.tolist(), ledger.gamma_used.tolist())
+    )
     assert engine == streamed
     assert {transient for _, transient, _ in streamed} == {True, False}

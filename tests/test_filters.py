@@ -260,11 +260,23 @@ class TestThresholdPolicy:
             {"mode": "time_varying", "tau_steady": 10.0},
             {"mode": "time_varying", "window_length": 0},
             {"mode": "time_varying", "window_length": 10, "steady_update_threshold": 11},
+            {"mode": "time_varying", "window_length": 10.5},
+            {"mode": "time_varying", "window_length": 20.0},
+            {"mode": "time_varying", "window_length": True, "steady_update_threshold": 1},
+            {"mode": "time_varying", "steady_update_threshold": 4.5},
+            {"mode": "time_varying", "steady_update_threshold": True},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ThresholdPolicy(**kwargs)
+
+    @pytest.mark.parametrize("field", ["window_length", "steady_update_threshold"])
+    @pytest.mark.parametrize("value", [4.5, 5.0, True])
+    def test_integer_field_names_itself(self, field, value):
+        # a float or bool count would only fail later, inside the detector
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ThresholdPolicy.time_varying(0.01, **{field: value})
 
     def test_streaming_time_varying_switches_gamma(self):
         # drive a filter to convergence; the in-force gamma must move from the

@@ -482,6 +482,14 @@ class TestRunExperiment:
         assert len(lines) == 1 + 250
         iterations = [int(line.split(",")[0]) for line in lines[1:]]
         assert iterations == list(range(250))
+        # every curve is two trace columns, written by the same writer
+        run_dir = out / "trial_000" / "ds"
+        trace = [line.split(",") for line in (run_dir / "trace.csv").read_text().splitlines()]
+        for curve, column in (("lhs", "lhs"), ("rhs", "rhs"), ("wtilde_sq", "wtilde_sq_before")):
+            lines = (run_dir / f"curve_{curve}.csv").read_text().splitlines()
+            assert lines[0] == "iteration,value"
+            i = trace[0].index(column)
+            assert lines[1:] == [f"{row[0]},{row[i]}" for row in trace[1:]], curve
 
     def test_curve_lhs_never_exceeds_rhs(self, tmp_path):
         out = tmp_path / "out"

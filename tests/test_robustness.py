@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +401,51 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"trace\.csv:4: column updated must be 0 or 1"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        ("column", "field"),
+        [
+            ("k", "0_2"),
+            ("k", " 2"),
+            ("k", "2 "),
+            ("k", "+2"),
+            ("k", "\uff12"),
+            ("k", "0" * 20 + "2"),
+            ("e", "1_0.5"),
+            ("e", " 0.5"),
+            ("e", "0.5\u00a0"),
+            ("e", "+0.5"),
+            ("e", ".5"),
+            ("e", "5."),
+            ("e", "1E-05"),
+            ("e", "1e5"),
+            ("rhs", "\u0663"),
+        ],
+    )
+    def test_field_must_be_as_written(self, tmp_path, column, field):
+        # int() and float() take these; the writer never emits them
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=12, iters=5), path)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[TRACE_COLUMNS.index(column)] = field
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"trace\.csv:4: column {column} is malformed"):
+            read_trace_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
+    )
+    def test_every_finite_float_reads_back(self, values):
+        # the reader's syntax takes every form of a finite double the writer emits
+        row = dict(zip(TRACE_COLUMNS[1:4] + TRACE_COLUMNS[5:], values + [-0.0, 5e-324]))
+        records = [IterationRecord(k=2**63 - 1, updated=False, **row)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(records, path)
+            assert list(read_trace_csv(path)) == records
 
     def test_verify_trace_flags_energy_discontinuity(self):
         # one ulp more deviation energy on a non-update row: its own arithmetic

@@ -41,11 +41,21 @@ class TestConfig:
             {"order": 1, "memory": 1, "regularization": -1e-9},
             {"order": 1, "memory": 1, "regularization": float("nan")},
             {"order": 1, "memory": 1, "regularization": float("inf")},
+            {"order": True, "memory": 1},
+            {"order": 2.0, "memory": 1},
+            {"order": 1, "memory": False},
+            {"order": 1, "memory": 1.5},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             VolterraConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["order", "memory"])
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_integer_field_names_itself(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            VolterraConfig(**{"order": 1, "memory": 1, field: value})
 
     def test_pathological_size_rejected(self):
         with pytest.raises(ValueError, match="beyond the supported maximum"):
