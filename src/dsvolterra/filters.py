@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class StepOutcome:
     mu_bar: float
     alpha: float
     gamma_used: float
-    y_hat: float
     in_transient: bool
     regressor: ArrayF
 
@@ -84,7 +83,8 @@ class FilterState:
     counter and the recent update flags driving the transient detector.
 
     The flag history holds the data-selective steps' flags, at most the
-    ``window_length`` of the policy the last step was given.  Steps replace
+    ``window_length`` of the policy the last step was given, and
+    ``update_count`` the number of them that are set.  Steps replace
     ``w`` with a fresh array instead of mutating it, so a reference taken
     before a step stays valid as the previous estimate.
     """
@@ -95,6 +95,7 @@ class FilterState:
         self.delay_line: ArrayF = np.zeros(config.taps)
         self.k = 0
         self.update_flags: deque[bool] = deque()
+        self.update_count = 0
 
 
 def push_sample(state: FilterState, x_new: float) -> FilterState:
@@ -108,10 +109,19 @@ def push_sample(state: FilterState, x_new: float) -> FilterState:
     return state
 
 
-def _transient(seen: int, updates: int, window_length: int, threshold: int) -> bool:
-    """The detector: transient until ``window_length`` flags have been seen,
-    then while at least ``threshold`` of the last ``window_length`` are set."""
-    return seen < window_length or updates >= threshold
+def _transient(flags: deque[bool], count: int, threshold: int) -> bool:
+    """The detector over a window of flags (a deque bounded by the window
+    length) of which ``count`` are set: transient until the window has
+    filled, then while at least ``threshold`` of its flags are set."""
+    return len(flags) < flags.maxlen or count >= threshold
+
+
+def _push_flag(flags: deque[bool], count: int, updated: bool) -> int:
+    """Append a step's flag to the window; returns the new count of set flags."""
+    if len(flags) == flags.maxlen:
+        count -= flags[0]
+    flags.append(updated)
+    return count + updated
 
 
 def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
@@ -121,18 +131,9 @@ def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
     return math.sqrt(tau * policy.sigma_n_sq)
 
 
-def current_gamma(policy: ThresholdPolicy, update_history: Sequence[bool]) -> float:
-    """Threshold in force given the recent update flags."""
-    window = policy.window_length
-    flags = list(update_history)[-window:]
-    return _gamma(
-        policy, _transient(len(flags), sum(flags), window, policy.steady_update_threshold)
-    )
-
-
 def _update(
     w: ArrayF, x: ArrayF, desired: float, delta: float, gamma: float, mu: float | None
-) -> tuple[ArrayF, float, bool, float, float, float]:
+) -> tuple[ArrayF, float, bool, float, float]:
     """The update law shared by every step, streaming or batched.
 
     Error e = d - w'x, normalization alpha = x'x + delta.  Without a constant
@@ -140,10 +141,9 @@ def _update(
     strictly exceeds ``gamma``, with step weight 1 - gamma/|e|.  With ``mu``
     every step counts as an update with step weight ``mu``.  A moving
     estimate is replaced, never mutated, and an unchanged one is returned as
-    the same object.  Returns ``(w_next, e, updated, mu_bar, alpha, y_hat)``.
+    the same object.  Returns ``(w_next, e, updated, mu_bar, alpha)``.
     """
-    y_hat = float(w.dot(x))
-    e = desired - y_hat
+    e = desired - float(w.dot(x))
     alpha = float(x.dot(x)) + delta
     if mu is None:
         updated = abs(e) > gamma
@@ -156,7 +156,7 @@ def _update(
                 "zero regressor energy with zero regularization; cannot normalize"
             )
         w = w + (mu_bar / alpha) * e * x
-    return w, e, updated, mu_bar, alpha, y_hat
+    return w, e, updated, mu_bar, alpha
 
 
 def _step(
@@ -168,7 +168,7 @@ def _step(
     x = expand(state.delay_line, state.config)
     if not np.isfinite(x).all():
         raise NumericInputError("regressor contains non-finite entries")
-    state.w, e, updated, mu_bar, alpha, y_hat = _update(
+    state.w, e, updated, mu_bar, alpha = _update(
         state.w, x, desired, state.config.regularization, gamma, mu
     )
     outcome = StepOutcome(
@@ -178,7 +178,6 @@ def _step(
         mu_bar=mu_bar,
         alpha=alpha,
         gamma_used=gamma,
-        y_hat=y_hat,
         in_transient=transient,
         regressor=x,
     )
@@ -195,13 +194,13 @@ def ds_vnlms_step(state: FilterState, d: float, policy: ThresholdPolicy) -> Step
     The delay line is not advanced here (see :func:`push_sample`).  The
     transient detector reads the last ``policy.window_length`` update flags.
     """
-    window = policy.window_length
     flags = state.update_flags
-    if flags.maxlen != window:
-        flags = state.update_flags = deque(flags, maxlen=window)
-    transient = _transient(len(flags), sum(flags), window, policy.steady_update_threshold)
+    if flags.maxlen != policy.window_length:
+        flags = state.update_flags = deque(flags, maxlen=policy.window_length)
+        state.update_count = sum(flags)
+    transient = _transient(flags, state.update_count, policy.steady_update_threshold)
     outcome = _step(state, d, _gamma(policy, transient), None, transient)
-    flags.append(outcome.updated)
+    state.update_count = _push_flag(flags, state.update_count, outcome.updated)
     return outcome
 
 
@@ -220,12 +219,3 @@ def vnlms_step(state: FilterState, d: float, mu: float) -> StepOutcome:
 def _check_step_size(mu: float) -> None:
     if not 0.0 < mu < 2.0:
         raise ValueError(f"step size must lie in (0, 2), got {mu!r}")
-
-
-def gamma_for_known_bound(noise_bound: float) -> float:
-    """Smallest threshold for which noise bounded by C guarantees that the
-    deviation-energy sequence never increases."""
-    c = float(noise_bound)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"noise bound must be positive, got {noise_bound!r}")
-    return 2.0 * c

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
 from .filters import ThresholdPolicy
-from .robustness import Ledger, RunVerdict, run_ledger, summarize_run, write_csv, write_trace_csv
+from .robustness import Ledger, RunVerdict, run_ledger, summarize_run, write_trace_csv
 from .signals import (
     Channel,
     NoiseSpec,
@@ -100,21 +100,21 @@ class ExperimentConfig:
         problems = []
         if not self.name:
             problems.append("name (empty)")
-        if self.iterations < 1:
-            problems.append("iterations (must be >= 1)")
-        if self.trials < 1:
-            problems.append("trials (must be >= 1)")
+        if type(self.iterations) is not int or self.iterations < 1:
+            problems.append("iterations (must be an integer >= 1)")
+        if type(self.trials) is not int or self.trials < 1:
+            problems.append("trials (must be an integer >= 1)")
         if not self.algorithms:
             problems.append("algorithms (empty)")
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             problems.append("algorithms (duplicate labels)")
-        if self.base_seed < 0:
-            problems.append("seed (must be >= 0)")
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            problems.append("seed (must be an integer >= 0)")
         if self.seeds is not None and len(self.seeds) != self.trials:
             problems.append("seeds (length must equal trials)")
-        if self.seeds is not None and any(seed < 0 for seed in self.seeds):
-            problems.append("seeds (must be >= 0)")
+        if self.seeds is not None and any(type(s) is not int or s < 0 for s in self.seeds):
+            problems.append("seeds (must be integers >= 0)")
         if (
             self.channel.config.order > self.volterra.order
             or self.channel.config.memory > self.volterra.memory
@@ -262,12 +262,8 @@ def _write_outputs(config: ExperimentConfig, result: dict, target: Path) -> None
         for label in result["labels"]:
             run_dir = trial_dir / label
             run_dir.mkdir(parents=True, exist_ok=True)
-            ledger = trial["records"][label]
             verdict: RunVerdict = trial["verdicts"][label]
-            write_trace_csv(ledger, run_dir / "trace.csv")
-            curves = {"lhs": ledger.lhs, "rhs": ledger.rhs, "wtilde_sq": ledger.wtilde_sq_before}
-            for name, column in curves.items():
-                write_csv(run_dir / f"curve_{name}.csv", ("iteration", "value"), (ledger.k, column))
+            write_trace_csv(trial["records"][label], run_dir / "trace.csv")
             summary = {
                 "experiment": config.name,
                 "trial": trial["index"],
@@ -491,11 +487,6 @@ def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a JSON file."""
     path = Path(path)
     return config_from_dict(_read_json(path), base_path=path.parent)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    """Write an experiment config as sorted, indented JSON."""
-    _dump_json(config_to_dict(config), Path(path))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -28,7 +29,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .filters import StepOutcome, ThresholdPolicy, _check_step_size, _gamma, _transient, _update
+from .filters import StepOutcome, ThresholdPolicy, _check_step_size, _gamma, _push_flag
+from .filters import _transient, _update
 from .volterra import ROW_BLOCK, ArrayF
 
 #: relative slack for the strict branch of the local inequality
@@ -220,20 +222,18 @@ def run_ledger(
     policy) or :func:`filters.vnlms_step` (``law`` a step size) take on the
     same rows, and the rows :func:`record_iteration` gives for them.
 
-    A policy's last ``window_length`` update flags are kept in a ring with
-    their count; a step size runs no detector, every step is transient.  Per
-    block of ``ROW_BLOCK`` steps each distinct estimate's deviation energy is
+    A policy's detector keeps its flag window and count as the streaming step
+    does; a step size runs no detector, every step is transient.  Per block
+    of ``ROW_BLOCK`` steps each distinct estimate's deviation energy is
     computed once, so a step that leaves the estimate unchanged keeps it exactly.
     """
     if isinstance(law, ThresholdPolicy):
-        mu = None
-        window, threshold = law.window_length, law.steady_update_threshold
+        mu, flags, threshold = None, deque(maxlen=law.window_length), law.steady_update_threshold
         gammas = (_gamma(law, False), _gamma(law, True))
     else:
         _check_step_size(law)
-        mu, window, threshold = law, 0, 0
-        gammas = (0.0, 0.0)
-    transient, ring, count = True, [False] * window, 0
+        mu, gammas = law, (0.0, 0.0)
+    transient, count = True, 0
     d = np.asarray(desired, dtype=np.float64).tolist()
     size = len(d)
     # rows of a row-major copy are contiguous, like the vector the streaming
@@ -249,18 +249,16 @@ def run_ledger(
         estimates, version, block = [w], [], []
         for k in range(*rows.indices(size)):
             if mu is None:
-                transient = _transient(k, count, window, threshold)
+                transient = _transient(flags, count, threshold)
             gamma = gammas[transient]
             version.append(len(estimates) - 1)
-            w_next, e, updated, mu_bar, alpha, _ = _update(w, x[k], d[k], delta, gamma, mu)
+            w_next, e, updated, mu_bar, alpha = _update(w, x[k], d[k], delta, gamma, mu)
             if w_next is not w:
                 w = w_next
                 estimates.append(w)
             block.append((e, updated, mu_bar, alpha, gamma, transient))
             if mu is None:
-                slot = k % window
-                count += updated - ring[slot]
-                ring[slot] = updated
+                count = _push_flag(flags, count, updated)
         # index of the estimate in force before each step, and after the last
         version = np.append(version, len(estimates) - 1)
         deviation = w_star - np.array(estimates)
@@ -366,22 +364,18 @@ def summarize_run(
 FLOAT_FORMAT = "%.17g"
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Emit equal-length columns as CSV: header row, LF endings, '.' decimals,
-    integer and bool columns as integers, floats at 17 significant digits so
-    a re-read reproduces every bit; ``ROW_BLOCK`` rows at a time."""
-    row = ",".join("%d" if c.dtype.kind in "biu" else FLOAT_FORMAT for c in columns) + "\n"
+def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
+    """Emit the ledger's trace columns as CSV: header row, LF endings, '.'
+    decimals, ``k`` and ``updated`` as integers, floats at 17 significant
+    digits so a re-read reproduces every bit; ``ROW_BLOCK`` rows at a time."""
+    ledger = Ledger.of(rows)
+    columns = [getattr(ledger, c) for c in TRACE_COLUMNS]
+    row = ",".join("%d" if c in _DTYPES else FLOAT_FORMAT for c in TRACE_COLUMNS) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k0 in range(0, len(columns[0]), ROW_BLOCK):
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for k0 in range(0, len(ledger), ROW_BLOCK):
             block = [c[k0 : k0 + ROW_BLOCK].tolist() for c in columns]
             fh.writelines(row % values for values in zip(*block))
-
-
-def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
-    """Emit the ledger's trace columns with :func:`write_csv`."""
-    ledger = Ledger.of(rows)
-    write_csv(path, TRACE_COLUMNS, [getattr(ledger, c) for c in TRACE_COLUMNS])
 
 
 #: each trace field as :func:`write_trace_csv` emits it: ``k`` and ``updated``
@@ -393,15 +387,16 @@ _ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
 
 def read_trace_csv(path) -> Ledger:
     """Read back a trace written by :func:`write_trace_csv`: every field as it
-    writes one and finite, ``k`` a 64-bit integer and ``updated`` 0 or 1.  A
-    ``ValueError`` names the path and line of the first fault."""
+    writes one and finite, ``k`` a 64-bit integer and ``updated`` 0 or 1, each
+    line ended by "\\n" alone.  A ``ValueError`` names the path and line of
+    the first fault."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-    lines = text.splitlines()
+    *lines, tail = text.split("\n")
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
     ks, rows = [], []
@@ -423,6 +418,8 @@ def read_trace_csv(path) -> Ledger:
             raise ValueError(f"{path}:{lineno}: column k is out of range")
         ks.append(k)
         rows.append(values)
+    if tail:
+        raise ValueError(f"{path}:{len(lines) + 1}: line does not end in a newline")
     e, e_tilde, n, updated, *rest = np.array(rows, dtype=np.float64).reshape(-1, 11).T.copy()
     return Ledger(np.array(ks, dtype=np.int64), e, e_tilde, n, updated != 0.0, *rest)
 

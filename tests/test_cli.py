@@ -279,6 +279,15 @@ class TestCheck:
         assert main(["check", str(trace)]) == EXIT_VERIFICATION
         assert "rows must run k = 0..K-1" in capsys.readouterr().err
 
+    def test_crlf_trace_is_rejected(self, small_config_path, tmp_path, capsys):
+        # a CRLF copy of a clean trace once read and certified
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        trace = out_dir / "trial_000" / "ds" / "trace.csv"
+        trace.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["check", str(trace)]) == EXIT_USAGE
+        assert f"{trace}:1: " in capsys.readouterr().err
+
     def test_header_only_trace_fails(self, tmp_path, capsys):
         # negative control: a trace without rows certifies nothing
         trace = tmp_path / "trace.csv"

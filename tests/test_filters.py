@@ -1,6 +1,7 @@
 """Streaming update laws: gating, step sizes, delay line, threshold policies."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,11 +22,19 @@ from dsvolterra import (
     push_sample,
     vnlms_step,
 )
-from dsvolterra.filters import current_gamma, gamma_for_known_bound
+from dsvolterra.filters import _gamma, _push_flag, _transient
 
 
 def fresh_state(order=1, memory=1, delta=0.0):
     return FilterState(VolterraConfig(order, memory, regularization=delta))
+
+
+def gamma_after(policy, history):
+    """The threshold in force once ``history``'s flags went through the detector."""
+    flags, count = deque(maxlen=policy.window_length), 0
+    for updated in history:
+        count = _push_flag(flags, count, updated)
+    return _gamma(policy, _transient(flags, count, policy.steady_update_threshold))
 
 
 class TestPushSample:
@@ -208,35 +217,35 @@ class TestVnlmsStep:
 class TestThresholdPolicy:
     def test_fixed_gamma_value(self):
         policy = ThresholdPolicy.fixed(math.sqrt(5 * 0.01))
-        assert current_gamma(policy, []) == pytest.approx(0.22360679774997896, rel=1e-15)
+        assert gamma_after(policy, []) == pytest.approx(0.22360679774997896, rel=1e-15)
 
     def test_transient_window_many_updates(self):
         policy = ThresholdPolicy.time_varying(0.01)
         window = [True] * 12 + [False] * 8
-        assert current_gamma(policy, window) == pytest.approx(math.sqrt(0.05), rel=1e-15)
+        assert gamma_after(policy, window) == pytest.approx(math.sqrt(0.05), rel=1e-15)
 
     def test_steady_window_few_updates(self):
         policy = ThresholdPolicy.time_varying(0.01)
         window = [True, True] + [False] * 18
-        assert current_gamma(policy, window) == pytest.approx(0.3, rel=1e-12)
+        assert gamma_after(policy, window) == pytest.approx(0.3, rel=1e-12)
 
     def test_window_not_full_treated_as_transient(self):
         policy = ThresholdPolicy.time_varying(0.01)
-        assert current_gamma(policy, [False] * 5) == pytest.approx(
+        assert gamma_after(policy, [False] * 5) == pytest.approx(
             math.sqrt(0.05), rel=1e-15
         )
 
     def test_detector_reverts_without_hysteresis(self):
         policy = ThresholdPolicy.time_varying(0.01)
         steady = [False] * 20
-        assert current_gamma(policy, steady) == pytest.approx(0.3, rel=1e-12)
+        assert gamma_after(policy, steady) == pytest.approx(0.3, rel=1e-12)
         burst = [False] * 15 + [True] * 5
-        assert current_gamma(policy, burst) == pytest.approx(math.sqrt(0.05), rel=1e-15)
+        assert gamma_after(policy, burst) == pytest.approx(math.sqrt(0.05), rel=1e-15)
 
     def test_threshold_boundary_counts_as_transient(self):
         policy = ThresholdPolicy.time_varying(0.01, steady_update_threshold=5)
         window = [True] * 5 + [False] * 15
-        assert current_gamma(policy, window) == pytest.approx(math.sqrt(0.05), rel=1e-15)
+        assert gamma_after(policy, window) == pytest.approx(math.sqrt(0.05), rel=1e-15)
 
     def test_streaming_history_bounded_by_policy_window(self):
         # the state keeps no window of its own: the policy stepped with sizes it
@@ -295,12 +304,29 @@ class TestThresholdPolicy:
         assert gammas[-1] == pytest.approx(0.3, rel=1e-12)
 
 
-class TestKnownBoundGamma:
-    def test_values(self):
-        assert gamma_for_known_bound(0.1) == pytest.approx(0.2, rel=1e-15)
-        assert gamma_for_known_bound(0.05) == pytest.approx(0.1, rel=1e-15)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
-    def test_rejects_degenerate_bounds(self, c):
-        with pytest.raises(ValueError):
-            gamma_for_known_bound(c)
+class TestFlagWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 40), stream=st.lists(st.booleans(), max_size=120))
+    def test_count_is_the_sum_of_the_last_window_flags(self, data, window, stream):
+        threshold = data.draw(st.integers(1, window))
+        flags, count = deque(maxlen=window), 0
+        assert _transient(flags, count, threshold)
+        for seen, updated in enumerate(stream, start=1):
+            count = _push_flag(flags, count, updated)
+            last = sum(stream[max(0, seen - window) : seen])
+            assert count == last
+            assert _transient(flags, count, threshold) == (seen < window or last >= threshold)
+
+    def test_streaming_count_follows_window_switches(self):
+        # a shrinking window drops old flags; the count must drop with them
+        rng = np.random.default_rng(5)
+        state = fresh_state(delta=1e-9)
+        seen = set()
+        for window in (30, 10, 25):
+            policy = ThresholdPolicy.time_varying(0.01, window_length=window)
+            for _ in range(60):
+                push_sample(state, float(rng.normal()))
+                seen.add(ds_vnlms_step(state, 0.3 * float(rng.normal()), policy).updated)
+                assert state.update_count == sum(state.update_flags)
+        assert seen == {True, False}

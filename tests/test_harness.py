@@ -30,7 +30,6 @@ from dsvolterra.harness import (
     load_config,
     load_kernel_file,
     preset,
-    save_config,
 )
 from dsvolterra.cli import EXIT_USAGE, main
 
@@ -103,6 +102,29 @@ class TestConfigValidation:
             AlgorithmSpec(label="x", kind="vnlms", mu=2.5)
         with pytest.raises(ConfigError):
             AlgorithmSpec(label="x", kind="nothing", mu=0.5)
+
+    @pytest.mark.parametrize(
+        ("field", "overrides"),
+        [
+            ("iterations", {"iterations": 250.0}),
+            ("iterations", {"iterations": True}),
+            ("trials", {"trials": 2.0}),
+            ("trials", {"trials": True, "seeds": (11,)}),
+            ("seed", {"seeds": None, "base_seed": 1.5}),
+            ("seed", {"seeds": None, "base_seed": False}),
+            ("seeds", {"seeds": (11, 1.5)}),
+            ("seeds", {"seeds": (True, 12)}),
+            ("iterations", {"iterations": "250"}),
+        ],
+        ids=[
+            "iterations_float", "iterations_bool", "trials_float", "trials_bool",
+            "seed_float", "seed_bool", "seeds_float", "seeds_bool", "iterations_str",
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, field, overrides):
+        # a float seed once ran as its int() while summary.json kept the float
+        with pytest.raises(ConfigError, match=rf"offending fields: .*\b{field} \(must be"):
+            small_config(**overrides)
 
     def test_trial_seeds_from_base(self):
         config = small_config(seeds=None, trials=3, base_seed=40)
@@ -226,7 +248,7 @@ class TestConfigSerialization:
         assert config.channel.config == VolterraConfig(2, 2)
         assert "regularization" not in config_to_dict(config)["channel"]
         assert config_from_dict(config_to_dict(config)) == config
-        save_config(config, tmp_path / "saved.json")
+        (tmp_path / "saved.json").write_text(json.dumps(config_to_dict(config)))
         assert load_config(tmp_path / "saved.json") == config
         # the inline form has no regularization key
         payload["channel"] = {**config_to_dict(config)["channel"], "regularization": 0.5}
@@ -236,7 +258,7 @@ class TestConfigSerialization:
     def test_save_and_load(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
-        save_config(config, path)
+        path.write_text(json.dumps(config_to_dict(config)))
         assert load_config(path) == config
 
     def test_benchmark_channel_token_preserved(self):
@@ -457,50 +479,33 @@ class TestRunExperiment:
     def test_emitted_files(self, tmp_path):
         out = tmp_path / "out"
         compare_algorithms(small_config(), out)
-        assert (out / "config.json").is_file()
-        assert (out / "summary.json").is_file()
-        for trial in ("trial_000", "trial_001"):
-            base = out / trial / "ds"
-            for name in (
-                "trace.csv",
-                "curve_lhs.csv",
-                "curve_rhs.csv",
-                "curve_wtilde_sq.csv",
-                "summary.json",
-            ):
-                assert (base / name).is_file(), name
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == {
+            "config.json",
+            "summary.json",
+            "trial_000/ds/trace.csv",
+            "trial_000/ds/summary.json",
+            "trial_001/ds/trace.csv",
+            "trial_001/ds/summary.json",
+        }
         summary = json.loads((out / "trial_000" / "ds" / "summary.json").read_text())
         assert summary["local_violations"] == 0
         assert summary["variant"] == "ds"
         assert summary["seed"] == 11
 
-    def test_curve_files_shape(self, tmp_path):
-        out = tmp_path / "out"
-        compare_algorithms(small_config(trials=1, seeds=(11,)), out)
-        lines = (out / "trial_000" / "ds" / "curve_lhs.csv").read_text().splitlines()
-        assert lines[0] == "iteration,value"
-        assert len(lines) == 1 + 250
-        iterations = [int(line.split(",")[0]) for line in lines[1:]]
-        assert iterations == list(range(250))
-        # every curve is two trace columns, written by the same writer
-        run_dir = out / "trial_000" / "ds"
-        trace = [line.split(",") for line in (run_dir / "trace.csv").read_text().splitlines()]
-        for curve, column in (("lhs", "lhs"), ("rhs", "rhs"), ("wtilde_sq", "wtilde_sq_before")):
-            lines = (run_dir / f"curve_{curve}.csv").read_text().splitlines()
-            assert lines[0] == "iteration,value"
-            i = trace[0].index(column)
-            assert lines[1:] == [f"{row[0]},{row[i]}" for row in trace[1:]], curve
-
     def test_curve_lhs_never_exceeds_rhs(self, tmp_path):
         out = tmp_path / "out"
         compare_algorithms(small_config(trials=1, seeds=(11,)), out)
 
-        def column(name):
-            lines = (out / "trial_000" / "ds" / name).read_text().splitlines()[1:]
-            return np.array([float(line.split(",")[1]) for line in lines])
+        lines = (out / "trial_000" / "ds" / "trace.csv").read_text().splitlines()
+        header = lines[0].split(",")
 
-        lhs = column("curve_lhs.csv")
-        rhs = column("curve_rhs.csv")
+        def column(name):
+            i = header.index(name)
+            return np.array([float(line.split(",")[i]) for line in lines[1:]])
+
+        lhs = column("lhs")
+        rhs = column("rhs")
         assert np.all(lhs <= rhs + 1e-10 * np.maximum(1.0, rhs))
 
     def test_config_snapshot_has_no_output_dir(self, tmp_path):

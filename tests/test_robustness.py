@@ -434,6 +434,27 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=rf"trace\.csv:4: column {column} is malformed"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "ending", ["\r\n", "\r", "\x0b\n", "\x0c\n", "\x1c\n", "\x85\n", "\u2028\n"]
+    )
+    def test_only_newline_ends_a_line(self, tmp_path, ending):
+        # str.splitlines breaks a line at each of these; the writer ends lines
+        # with "\n" alone, so each is a fault of the line it ends
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=12, iters=5), path)
+        lines = path.read_text().split("\n")[:-1]
+        text = "".join(line + (ending if i == 3 else "\n") for i, line in enumerate(lines))
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=r"trace\.csv:4: "):
+            read_trace_csv(path)
+
+    def test_last_line_must_end_in_a_newline(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=12, iters=5), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=r"trace\.csv:6: line does not end in a newline"):
+            read_trace_csv(path)
+
     @settings(max_examples=200, deadline=None)
     @given(
         values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
