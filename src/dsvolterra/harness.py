@@ -201,6 +201,9 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
     given here or in the config.
     """
     target = out_dir if out_dir is not None else config.output_dir
+    if target is not None:
+        # a run tree must re-run from its own config.json: fail before any file
+        config_from_dict(config_to_dict(config))
     seeds = config.trial_seeds()
     trials = []
     for index, seed in enumerate(seeds):

@@ -174,9 +174,10 @@ def record_iteration(
         deviation_after = w_star - w_after
         wtilde_sq_after = float(deviation_after.dot(deviation_after))
     if outcome.updated:
+        # products, not powers, as in _weighted_energies: overflow gives inf
         weight = outcome.mu_bar / outcome.alpha
-        lhs = wtilde_sq_after + weight * e_tilde**2
-        rhs = wtilde_sq_before + weight * float(n) ** 2
+        lhs = wtilde_sq_after + weight * (e_tilde * e_tilde)
+        rhs = wtilde_sq_before + weight * (float(n) * float(n))
     else:
         lhs = wtilde_sq_after
         rhs = wtilde_sq_before
@@ -224,8 +225,8 @@ def run_ledger(
 
     A policy's detector keeps its flag window and count as the streaming step
     does; a step size runs no detector, every step is transient.  Per block
-    of ``ROW_BLOCK`` steps each distinct estimate's deviation energy is
-    computed once, so a step that leaves the estimate unchanged keeps it exactly.
+    of ``ROW_BLOCK`` steps the ledger is read off the estimates in force, so
+    a step that leaves the estimate unchanged keeps its deviation energy exactly.
     """
     if isinstance(law, ThresholdPolicy):
         mu, flags, threshold = None, deque(maxlen=law.window_length), law.steady_update_threshold
@@ -246,25 +247,22 @@ def run_ledger(
     e_tilde, before, after = np.empty((3, size))
     for k0 in range(0, size, ROW_BLOCK):
         rows = slice(k0, k0 + ROW_BLOCK)
-        estimates, version, block = [w], [], []
+        # the estimate in force before each step, and after the last
+        held, block = [], []
         for k in range(*rows.indices(size)):
             if mu is None:
                 transient = _transient(flags, count, threshold)
             gamma = gammas[transient]
-            version.append(len(estimates) - 1)
-            w_next, e, updated, mu_bar, alpha = _update(w, x[k], d[k], delta, gamma, mu)
-            if w_next is not w:
-                w = w_next
-                estimates.append(w)
+            held.append(w)
+            w, e, updated, mu_bar, alpha = _update(w, x[k], d[k], delta, gamma, mu)
             block.append((e, updated, mu_bar, alpha, gamma, transient))
             if mu is None:
                 count = _push_flag(flags, count, updated)
-        # index of the estimate in force before each step, and after the last
-        version = np.append(version, len(estimates) - 1)
-        deviation = w_star - np.array(estimates)
+        held.append(w)
+        deviation = w_star - np.array(held)
         energy = np.einsum("ij,ij->i", deviation, deviation)
-        e_tilde[rows] = np.einsum("ij,ij->i", deviation[version[:-1]], regressors[rows])
-        before[rows], after[rows] = energy[version[:-1]], energy[version[1:]]
+        e_tilde[rows] = np.einsum("ij,ij->i", deviation[:-1], regressors[rows])
+        before[rows], after[rows] = energy[:-1], energy[1:]
         steps[:, rows] = np.transpose(block)
     e, updated, mu_bar, alpha, gamma_used, in_transient = steps
     noise = np.array(noise, dtype=np.float64)
@@ -449,33 +447,27 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
         # written as "not <=" so that a NaN anywhere counts as a mismatch
         scale = np.maximum(1.0, np.maximum(abs(e), abs(split)))
         split_off = ~(abs(e - split) <= EQUALITY_RTOL * scale)
-    # an update without a positive alpha has no row arithmetic to check
-    sides_off, split_off, local_off = (
-        mask & ~alpha_bad for mask in (sides_off, split_off, ~_local_ok(ledger))
+    # each row check and its message, in the order a row reports them; an
+    # update without a positive alpha has no row arithmetic to check
+    checks = (
+        (k_off, "expected k={expected}, rows must run k = 0..K-1"),
+        (chain_broken, "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
+         " wtilde_sq_after={previous!r}"),
+        (alpha_bad, "update with alpha={r.alpha!r}, not positive"),
+        (sides_off & ~alpha_bad, "stored lhs/rhs do not match the row fields"),
+        (split_off & ~alpha_bad, "error decomposition e != e_tilde + n"),
+        (~_local_ok(ledger) & ~alpha_bad,
+         "local energy inequality violated (lhs={r.lhs!r}, rhs={r.rhs!r})"),
     )
     problems: list[str] = []
-    faulty = k_off | chain_broken | alpha_bad | sides_off | split_off | local_off
-    for i in np.flatnonzero(faulty).tolist():
-        r = ledger[i]
-        if k_off[i]:
-            expected = int(k[i - 1]) + 1 if i else 0
-            problems.append(f"row k={r.k}: expected k={expected}, rows must run k = 0..K-1")
-        if chain_broken[i]:
-            problems.append(
-                f"row k={r.k}: wtilde_sq_before={r.wtilde_sq_before!r} is not the"
-                f" previous row's wtilde_sq_after={after[i - 1].item()!r}"
-            )
-        if alpha_bad[i]:
-            problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
-        if sides_off[i]:
-            problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
-        if split_off[i]:
-            problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
-        if local_off[i]:
-            problems.append(
-                f"row k={r.k}: local energy inequality violated"
-                f" (lhs={r.lhs!r}, rhs={r.rhs!r})"
-            )
+    for i in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)).tolist():
+        r, previous = ledger[i], after[i - 1].item()
+        expected = int(k[i - 1]) + 1 if i else 0
+        problems += (
+            f"row k={r.k}: " + message.format(r=r, expected=expected, previous=previous)
+            for mask, message in checks
+            if mask[i]
+        )
     ratios = prefix_ratios(ledger)
     above_one = (np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK)
     for i in np.flatnonzero(above_one).tolist():

@@ -102,16 +102,31 @@ def test_engine_matches_streaming_oracle(name):
         assert len(threshold_states) == 2
 
 
-@pytest.mark.parametrize("iterations", [1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK])
-def test_engine_matches_streaming_oracle_at_block_edges(iterations):
-    # one row, one full block, one row past it, two full blocks
+#: a threshold no error reaches: every row of every block holds the zero estimate
+NEVER_UPDATES = (
+    harness.AlgorithmSpec("ds_never", "ds_vnlms", policy=ThresholdPolicy.fixed(1e9)),
+)
+BLOCK_EDGES = (1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "iterations, algorithms",
+    [pytest.param(i, None, id=str(i)) for i in BLOCK_EDGES]
+    + [pytest.param(i, NEVER_UPDATES, id=f"{i}-no_update") for i in BLOCK_EDGES],
+)
+def test_engine_matches_streaming_oracle_at_block_edges(iterations, algorithms):
+    # one row, one full block, one row past it, two full blocks; fig5's
+    # variants, or one that never updates
     config = dataclasses.replace(harness.preset("fig5"), iterations=iterations)
+    if algorithms is not None:
+        config = dataclasses.replace(config, algorithms=algorithms)
     x, _, n, w_star, d = harness._realization(config, 1)
     engine = harness.run_trial(config, 1)
     for algorithm in config.algorithms:
         got = engine[algorithm.label]
         want = _streaming(config, algorithm, x, d, n, w_star)
         assert len(got) == len(want) == iterations, algorithm.label
+        assert algorithms is None or not got.updated.any()
         for field in EXACT:
             assert np.array_equal(_column(got, field), _column(want, field)), field
         for field in CLOSE:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,27 @@ class TestRunExperiment:
         compare_algorithms(small_config(output_dir="somewhere/else"), out)
         snapshot = json.loads((out / "config.json").read_text())
         assert "output_dir" not in snapshot
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"algorithms": (AlgorithmSpec("v", "vnlms", mu=True),)}, "config.algorithms[0].mu"),
+            (
+                {"algorithms": (AlgorithmSpec("ds", "ds_vnlms", ThresholdPolicy.fixed(0.2, sigma_n_sq=True)),)},
+                "config.algorithms[0].policy.sigma_n_sq",
+            ),
+            ({"noise": NoiseSpec("gaussian", variance=True)}, "config.noise.variance"),
+            ({"input": SignalSpec("white_gaussian", ar_coefficient=math.nan)}, "config.input.ar_coefficient"),
+            ({"noise": NoiseSpec("gaussian", bound=math.inf)}, "config.noise.bound"),
+        ],
+        ids=["bool_mu", "bool_sigma_n_sq", "bool_variance", "nan_ar_coefficient", "inf_bound"],
+    )
+    def test_config_that_would_not_reload_writes_nothing(self, overrides, where, tmp_path):
+        # each builds in Python, but its config.json would fail load_config
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape(where + ": expected")):
+            compare_algorithms(small_config(**overrides), out)
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(trials=3, seeds=(1, 2, 3))

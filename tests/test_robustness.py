@@ -33,6 +33,7 @@ from dsvolterra import (
     write_trace_csv,
 )
 from dsvolterra import harness
+from dsvolterra.filters import StepOutcome
 from dsvolterra.robustness import (
     EQUALITY_RTOL,
     LOCAL_SLACK,
@@ -197,6 +198,30 @@ class TestCheckLocal:
             gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.01, lhs=1.01, rhs=1.0,
         )
         assert verdict.local_violations == 1
+
+
+class TestRecordIterationEnergies:
+    """``record_iteration`` weighs e~^2 and n^2 as products, as the ledger
+    columns do."""
+
+    def test_huge_noise_gives_inf_not_an_error(self):
+        outcome = StepOutcome(
+            k=0, e=1e200, updated=True, mu_bar=0.5, alpha=1.0, gamma_used=0.5,
+            in_transient=True, regressor=np.array([1.0, 0.0]),
+        )
+        w_star = np.array([1.0, 0.0])
+        record = record_iteration(w_star, np.zeros(2), np.array([0.5, 0.0]), outcome, 1e200)
+        assert record.rhs == math.inf
+        assert record.lhs == 0.25 + 0.5 * 1.0
+        assert "row k=0: stored lhs/rhs do not match the row fields" in verify_trace([record])
+
+    def test_lhs_and_rhs_follow_the_column_rule_bit_for_bit(self):
+        ledger = Ledger.of(random_run(seed=3))
+        weight = np.where(ledger.updated, ledger.mu_bar / ledger.alpha, 0.0)
+        lhs = ledger.wtilde_sq_after + weight * (ledger.e_tilde * ledger.e_tilde)
+        rhs = ledger.wtilde_sq_before + weight * (ledger.n * ledger.n)
+        assert np.array_equal(ledger.lhs, lhs)
+        assert np.array_equal(ledger.rhs, rhs)
 
 
 class TestConditionalImprovement:
@@ -510,6 +535,17 @@ class TestTraceCsv:
             f" wtilde_sq_after={records[-2].wtilde_sq_after!r}",
             f"row k={k}: stored lhs/rhs do not match the row fields",
             f"row k={k}: local energy inequality violated (lhs={lhs!r}, rhs={last.rhs!r})",
+        ]
+
+    def test_update_without_positive_alpha_skips_the_row_arithmetic(self):
+        # the row's broken lhs/rhs, split and local inequality report nothing
+        records = random_run(seed=16, iters=50)
+        i = next(i for i, r in enumerate(records) if r.updated)
+        row = records[i]
+        records[i] = dataclasses.replace(row, alpha=0.0, e_tilde=0.0, lhs=row.rhs * 2.0 + 1.0)
+        problems = verify_trace(records)
+        assert [p for p in problems if p.startswith("row")] == [
+            f"row k={row.k}: update with alpha=0.0, not positive"
         ]
 
     def test_empty_ledger_is_a_violation(self):
