@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -38,12 +37,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a config file or preset")
-    run.add_argument("target", nargs="?", help="config file path or preset name")
-    run.add_argument("--config", help="config file path")
-    run.add_argument("--preset", help="built-in preset name")
+    run.add_argument("target", help="config file path or preset name")
     run.add_argument("--trials", type=int, help="override the number of trials")
     run.add_argument("--seed", type=int, help="override the base seed")
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--out", help="output directory (default runs/<name>)")
     run.add_argument("--quiet", action="store_true", help="suppress stdout")
 
     sub.add_parser("presets", help="list the built-in presets")
@@ -59,35 +56,14 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
-    chosen = [v for v in (args.target, args.config, args.preset) if v is not None]
-    if len(chosen) != 1:
-        raise ConfigError("give exactly one of: a positional target, --config, --preset")
-    if args.preset is not None:
-        config = harness.preset(args.preset)
-    elif args.config is not None:
-        config = harness.load_config(args.config)
-    else:
-        target = Path(args.target)
-        if target.exists():
-            config = harness.load_config(target)
-        else:
-            config = harness.preset(args.target)
+    # only a file is a config: a directory named like a preset does not shadow it
+    load = harness.load_config if Path(args.target).is_file() else harness.preset
+    config = load(args.target)
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials, seeds=None)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed, seeds=None)
     return config
-
-
-def _resolve_out_dir(args, config: harness.ExperimentConfig) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(harness.OUTPUT_DIR_ENV)
-    if env:
-        return Path(env) / config.name
-    if config.output_dir:
-        return Path(config.output_dir)
-    return Path("runs") / config.name
 
 
 def _verdict_line(name: str, trial: int, seed: int, label: str, verdict: RunVerdict) -> str:
@@ -104,7 +80,7 @@ def _verdict_line(name: str, trial: int, seed: int, label: str, verdict: RunVerd
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
-    out_dir = _resolve_out_dir(args, config)
+    out_dir = Path(args.out or Path("runs") / config.name)
     result = harness.compare_algorithms(config, out_dir)
     if not args.quiet:
         for trial in result["trials"]:

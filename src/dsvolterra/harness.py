@@ -45,7 +45,11 @@ from .volterra import (
 )
 
 SCHEMA_VERSION = 1
-OUTPUT_DIR_ENV = "DSVOLTERRA_OUT"
+
+
+def _is_file_name(text: str) -> bool:
+    """``text`` is one plain path component: a nonempty string, no / \\ or NUL, not . or .."""
+    return isinstance(text, str) and text not in ("", ".", "..") and not set("/\\\0") & set(text)
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class AlgorithmSpec:
     mu: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise ConfigError("algorithm label must be nonempty")
+        if not _is_file_name(self.label):
+            raise ConfigError(f"algorithm label {self.label!r} is not one plain path component")
         if self.kind == "ds_vnlms":
             if self.policy is None or self.mu is not None:
                 raise ConfigError(
@@ -93,13 +97,12 @@ class ExperimentConfig:
     trials: int = 1
     seeds: tuple[int, ...] | None = None
     base_seed: int = 0
-    output_dir: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
         problems = []
-        if not self.name:
-            problems.append("name (empty)")
+        if not _is_file_name(self.name):
+            problems.append("name (must be one plain path component)")
         if type(self.iterations) is not int or self.iterations < 1:
             problems.append("iterations (must be an integer >= 1)")
         if type(self.trials) is not int or self.trials < 1:
@@ -197,11 +200,9 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
     """Run every variant over all trials on shared per-trial realizations.
 
     Returns the full result structure (records and verdicts per trial plus a
-    side-by-side aggregate).  Files are emitted when an output directory is
-    given here or in the config.
+    side-by-side aggregate).  Files are emitted only into ``out_dir``.
     """
-    target = out_dir if out_dir is not None else config.output_dir
-    if target is not None:
+    if out_dir is not None:
         # a run tree must re-run from its own config.json: fail before any file
         config_from_dict(config_to_dict(config))
     seeds = config.trial_seeds()
@@ -242,8 +243,8 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
         "trials": trials,
         "aggregate": aggregate,
     }
-    if target is not None:
-        _write_outputs(config, result, Path(target))
+    if out_dir is not None:
+        _write_outputs(config, result, Path(out_dir))
     return result
 
 
@@ -258,7 +259,7 @@ def _dump_json(payload, path: Path) -> None:
 
 def _write_outputs(config: ExperimentConfig, result: dict, target: Path) -> None:
     target.mkdir(parents=True, exist_ok=True)
-    _dump_json(config_to_dict(config, include_output_dir=False), target / "config.json")
+    _dump_json(config_to_dict(config), target / "config.json")
     flat_trials = []
     for trial in result["trials"]:
         trial_dir = target / f"trial_{trial['index']:03d}"
@@ -429,7 +430,7 @@ def _channel_from_terms(obj, where: str, optional: set[str]) -> Channel:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -460,14 +461,11 @@ def _channel_from_obj(obj, where: str, base_path: Path | None) -> Channel:
     return _channel_from_terms(obj, where, optional=set())
 
 
-def config_to_dict(config: ExperimentConfig, include_output_dir: bool = True) -> dict:
-    """The JSON object of a config: ``seed`` only when no ``seeds`` pin the
-    trials, ``output_dir`` only when set and asked for."""
+def config_to_dict(config: ExperimentConfig) -> dict:
+    """The JSON object of a config: ``seed`` only when no ``seeds`` pin the trials."""
     out = {"schema_version": SCHEMA_VERSION, **_encode(config)}
     if config.seeds is not None:
         del out["seed"]
-    if not include_output_dir:
-        out.pop("output_dir", None)
     return out
 
 

@@ -277,8 +277,10 @@ def run_ledger(
 
 def _equal(value: ArrayF, reference: ArrayF) -> np.ndarray:
     """``value`` equals ``reference`` to ``EQUALITY_RTOL``, relative above one;
-    written as "<=" so that a NaN on either side is a mismatch."""
-    return abs(value - reference) <= EQUALITY_RTOL * np.maximum(1.0, abs(reference))
+    written as "<=" so that a NaN on either side is a mismatch.  An overflowed
+    reference, whose tolerance would be infinite too, matches nothing."""
+    tolerance = EQUALITY_RTOL * np.maximum(1.0, abs(reference))
+    return np.isfinite(reference) & (abs(value - reference) <= tolerance)
 
 
 def _local_ok(ledger: Ledger) -> np.ndarray:
@@ -377,9 +379,15 @@ def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
 
 
 #: each trace field as :func:`write_trace_csv` emits it: ``k`` and ``updated``
-#: by ``%d``, the rest by FLOAT_FORMAT, with inf and nan left to the finite check
-_FLOAT_AS_WRITTEN = r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan"
-_AS_WRITTEN = [r"-?[0-9]{1,19}" if c in _DTYPES else _FLOAT_AS_WRITTEN for c in TRACE_COLUMNS]
+#: by ``%d``, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction
+#: zeros, 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
+_FRACTION = r"(?:\.[0-9]*[1-9])?"
+_FLOAT_AS_WRITTEN = (
+    rf"-?(?:(?:0|[1-9][0-9]*){_FRACTION}|[1-9]{_FRACTION}e[+-][1-9]?[0-9]{{2}}|inf)|nan"
+)
+_AS_WRITTEN = [
+    r"0|-?[1-9][0-9]{0,18}" if c in _DTYPES else _FLOAT_AS_WRITTEN for c in TRACE_COLUMNS
+]
 _ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
 
 

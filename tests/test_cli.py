@@ -104,7 +104,7 @@ class TestRun:
     def test_preset_by_name_with_overrides(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main(
-            ["run", "--preset", "fig1a", "--trials", "1", "--seed", "7", "--out", str(out_dir)]
+            ["run", "fig1a", "--trials", "1", "--seed", "7", "--out", str(out_dir)]
         )
         assert code == EXIT_OK
         stdout = capsys.readouterr().out
@@ -128,16 +128,27 @@ class TestRun:
         )
         assert capsys.readouterr().out == ""
 
-    def test_env_var_output_dir(self, small_config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DSVOLTERRA_OUT", str(tmp_path / "env-out"))
-        assert main(["run", str(small_config_path), "--quiet"]) == EXIT_OK
-        assert (tmp_path / "env-out" / "cli-small" / "summary.json").is_file()
-
     def test_missing_target_is_usage_error(self, capsys):
         assert main(["run"]) == EXIT_USAGE
 
     def test_two_targets_is_usage_error(self, small_config_path, capsys):
-        assert main(["run", str(small_config_path), "--preset", "fig1a"]) == EXIT_USAGE
+        assert main(["run", str(small_config_path), "fig1a"]) == EXIT_USAGE
+
+    def test_directory_does_not_shadow_a_preset(self, tmp_path, monkeypatch, capsys):
+        # only a file is a config: a directory left by `run fig1a --out fig1a`
+        # must not turn a later `run fig1a` into an i/o error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig1a").mkdir()
+        assert main(["run", "fig1a", "--trials", "1", "--out", "o", "--quiet"]) == EXIT_OK
+        assert (tmp_path / "o" / "trial_000" / "ds_fixed" / "trace.csv").is_file()
+
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["run", "fig9"]) == EXIT_USAGE

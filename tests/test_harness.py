@@ -317,6 +317,21 @@ MALFORMED = [
     ("kernel_file_without_terms", _kernel_without_terms, "/kernel.json"),
     ("schema_version_true", _setter("schema_version", value=True), "config.schema_version"),
     ("schema_version_float", _setter("schema_version", value=1.0), "config.schema_version"),
+    # a run's output directory is not part of its config
+    ("output_dir_key", _setter("output_dir", value="o"), "config"),
+    # names and labels become directories of the run tree
+    ("name_with_separator", _setter("name", value="a/b"), "config"),
+    ("name_dot_dot", _setter("name", value=".."), "config"),
+    *(
+        (case, _setter("algorithms", 0, "label", value=label), "config.algorithms[0]")
+        for case, label in [
+            ("label_escapes", "../../escaped"),
+            ("label_dot", "."),
+            ("label_with_dot_component", "a/."),
+            ("label_with_backslash", "a\\b"),
+            ("label_with_nul", "a\0b"),
+        ]
+    ),
 ]
 
 
@@ -341,12 +356,12 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize(
         "path",
-        [("output_dir",), ("seeds",), ("algorithms", 0, "mu"), ("algorithms", 1, "policy")],
-        ids=["output_dir", "seeds", "ds_mu", "vnlms_policy"],
+        [("seeds",), ("algorithms", 0, "mu"), ("algorithms", 1, "policy")],
+        ids=["seeds", "ds_mu", "vnlms_policy"],
     )
     def test_null_is_an_absent_key(self, path):
         baseline = AlgorithmSpec(label="baseline", kind="vnlms", mu=0.8)
-        config = small_config(algorithms=(*small_config().algorithms, baseline), output_dir="o")
+        config = small_config(algorithms=(*small_config().algorithms, baseline))
         absent = config_to_dict(config)
         target = absent
         for key in path[:-1]:
@@ -508,12 +523,6 @@ class TestRunExperiment:
         lhs = column("lhs")
         rhs = column("rhs")
         assert np.all(lhs <= rhs + 1e-10 * np.maximum(1.0, rhs))
-
-    def test_config_snapshot_has_no_output_dir(self, tmp_path):
-        out = tmp_path / "out"
-        compare_algorithms(small_config(output_dir="somewhere/else"), out)
-        snapshot = json.loads((out / "config.json").read_text())
-        assert "output_dir" not in snapshot
 
     @pytest.mark.parametrize(
         "overrides, where",

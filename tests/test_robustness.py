@@ -436,6 +436,8 @@ class TestTraceCsv:
             ("k", "+2"),
             ("k", "\uff12"),
             ("k", "0" * 20 + "2"),
+            ("k", "007"),
+            ("k", "-0"),
             ("e", "1_0.5"),
             ("e", " 0.5"),
             ("e", "0.5\u00a0"),
@@ -444,6 +446,10 @@ class TestTraceCsv:
             ("e", "5."),
             ("e", "1E-05"),
             ("e", "1e5"),
+            ("e", "0.50"),
+            ("e", "00.5"),
+            ("e", "1e+5"),
+            ("e", "1.0"),
             ("rhs", "\u0663"),
         ],
     )
@@ -548,6 +554,18 @@ class TestTraceCsv:
             f"row k={row.k}: update with alpha=0.0, not positive"
         ]
 
+    def test_overflowed_row_arithmetic_matches_nothing(self):
+        # (mu/alpha) e~^2 overflows to inf: a finite stored lhs is not within
+        # an infinite tolerance of it
+        row = IterationRecord(
+            k=0, e=1e200, e_tilde=1e200, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
+            gamma_used=0.0, wtilde_sq_before=1.0, wtilde_sq_after=0.5, lhs=0.75, rhs=1.0,
+        )
+        assert verify_trace([row]) == [
+            "row k=0: stored lhs/rhs do not match the row fields",
+            "prefix K=1: global ratio inf not below one",
+        ]
+
     def test_empty_ledger_is_a_violation(self):
         assert verify_trace([]) == ["trace has no rows"]
         assert verify_trace(Ledger.of([])) == ["trace has no rows"]
@@ -591,6 +609,12 @@ def preset_runs():
 def verify_rows_reference(rows):
     """``verify_trace`` as a loop over rows, one rule at a time: the
     reference its column expressions must reproduce message for message."""
+
+    def close(value, reference):
+        # an overflowed reference matches nothing
+        tolerance = EQUALITY_RTOL * max(1.0, abs(reference))
+        return math.isfinite(reference) and abs(value - reference) <= tolerance
+
     problems = []
     expected_k = 0
     previous = None
@@ -610,10 +634,7 @@ def verify_rows_reference(rows):
         weight = r.mu_bar / r.alpha if r.updated else 0.0
         lhs = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
         rhs = r.wtilde_sq_before + weight * (r.n * r.n)
-        if not (
-            abs(r.lhs - lhs) <= EQUALITY_RTOL * max(1.0, abs(lhs))
-            and abs(r.rhs - rhs) <= EQUALITY_RTOL * max(1.0, abs(rhs))
-        ):
+        if not (close(r.lhs, lhs) and close(r.rhs, rhs)):
             problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
         split = r.e_tilde + r.n
         if not abs(r.e - split) <= EQUALITY_RTOL * max(1.0, abs(r.e), abs(split)):
@@ -621,7 +642,7 @@ def verify_rows_reference(rows):
         if r.updated:
             local_ok = r.lhs < r.rhs + LOCAL_SLACK * max(1.0, r.rhs)
         else:
-            local_ok = abs(r.lhs - r.rhs) <= EQUALITY_RTOL * max(1.0, abs(r.rhs))
+            local_ok = close(r.lhs, r.rhs)
         if not local_ok:
             problems.append(
                 f"row k={r.k}: local energy inequality violated (lhs={r.lhs!r}, rhs={r.rhs!r})"
