@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
 from . import harness
 from .errors import ConfigError
-from .robustness import RunVerdict, read_trace_csv, verify_trace
+from .robustness import read_trace_csv, verify_trace
 from .volterra import VolterraConfig, term_at, total_dimension
 
 EXIT_OK = 0
@@ -32,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dsvolterra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,9 +68,9 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _verdict_line(name: str, trial: int, seed: int, label: str, verdict: RunVerdict) -> str:
-    parts = [f"name={name}", f"trial={trial}", f"seed={seed}", f"variant={label}"]
-    for key, value in verdict.as_dict().items():
+def _verdict_line(name: str, trial: dict, label: str) -> str:
+    parts = [f"name={name}", f"trial={trial['index']}", f"seed={trial['seed']}", f"variant={label}"]
+    for key, value in trial["verdicts"][label].as_dict().items():
         if value is None:
             parts.append(f"{key}=na")
         elif isinstance(value, float):
@@ -85,15 +87,7 @@ def _cmd_run(args) -> int:
     if not args.quiet:
         for trial in result["trials"]:
             for label in result["labels"]:
-                print(
-                    _verdict_line(
-                        config.name,
-                        trial["index"],
-                        trial["seed"],
-                        label,
-                        trial["verdicts"][label],
-                    )
-                )
+                print(_verdict_line(config.name, trial, label))
         print(f"wrote {out_dir}")
     return EXIT_OK
 

@@ -136,11 +136,8 @@ class ExperimentConfig:
 
 def _derive_seed(trial_seed: int, stream: int) -> int:
     """Deterministic per-stream seed from a trial seed (input=0, noise=1)."""
-    return int(
-        np.random.SeedSequence([int(trial_seed), int(stream)]).generate_state(
-            1, np.uint64
-        )[0]
-    )
+    sequence = np.random.SeedSequence([int(trial_seed), int(stream)])
+    return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def _realization(config: ExperimentConfig, trial_seed: int):
@@ -298,15 +295,9 @@ def _check_keys(obj, where: str, required: set[str], optional: set[str]) -> None
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj.keys())
-    missing = sorted(required - keys)
-    unknown = sorted(keys - required - optional)
-    if missing or unknown:
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if unknown:
-            parts.append(f"unknown {unknown}")
-        raise ConfigError(f"{where}: " + ", ".join(parts))
+    found = {"missing": sorted(required - keys), "unknown": sorted(keys - required - optional)}
+    if any(found.values()):
+        raise ConfigError(f"{where}: " + ", ".join(f"{k} {v}" for k, v in found.items() if v))
 
 
 def _typed(value, kind: type, where: str):

@@ -21,10 +21,10 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -263,7 +263,8 @@ def run_ledger(
         energy = np.einsum("ij,ij->i", deviation, deviation)
         e_tilde[rows] = np.einsum("ij,ij->i", deviation[:-1], regressors[rows])
         before[rows], after[rows] = energy[:-1], energy[1:]
-        steps[:, rows] = np.transpose(block)
+        flat = np.fromiter(chain.from_iterable(block), float, 6 * len(block))
+        steps[:, rows] = flat.reshape(-1, 6).T
     e, updated, mu_bar, alpha, gamma_used, in_transient = steps
     noise = np.array(noise, dtype=np.float64)
     # lhs and rhs are the deviation energies until the weighted energies are added
@@ -378,15 +379,16 @@ def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
             fh.writelines(row % values for values in zip(*block))
 
 
-#: each trace field as :func:`write_trace_csv` emits it: ``k`` and ``updated``
-#: by ``%d``, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction
-#: zeros, 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
+#: each trace field as :func:`write_trace_csv` emits it: ``k`` by ``%d``, ``updated``
+#: 0 or 1, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction zeros,
+#: 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
 _FRACTION = r"(?:\.[0-9]*[1-9])?"
 _FLOAT_AS_WRITTEN = (
     rf"-?(?:(?:0|[1-9][0-9]*){_FRACTION}|[1-9]{_FRACTION}e[+-][1-9]?[0-9]{{2}}|inf)|nan"
 )
 _AS_WRITTEN = [
-    r"0|-?[1-9][0-9]{0,18}" if c in _DTYPES else _FLOAT_AS_WRITTEN for c in TRACE_COLUMNS
+    {"k": r"0|-?[1-9][0-9]{0,18}", "updated": "[01]"}.get(c, _FLOAT_AS_WRITTEN)
+    for c in TRACE_COLUMNS
 ]
 _ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
 
@@ -395,18 +397,36 @@ def read_trace_csv(path) -> Ledger:
     """Read back a trace written by :func:`write_trace_csv`: every field as it
     writes one and finite, ``k`` a 64-bit integer and ``updated`` 0 or 1, each
     line ended by "\\n" alone.  A ``ValueError`` names the path and line of
-    the first fault."""
+    the first fault.  Lines are matched against the row syntax, then parsed
+    ``ROW_BLOCK`` at a time; only a faulty file is walked line by line."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        *lines, tail = raw.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-    *lines, tail = text.split("\n")
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
-    ks, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows, width = lines[1:], len(TRACE_COLUMNS)
+    if tail or not all(map(_ROW_AS_WRITTEN.fullmatch, rows)):
+        _first_fault(path, rows)
+    # one contiguous row per column
+    table, ks = np.empty((width, len(rows))), []
+    for k0 in range(0, len(rows), ROW_BLOCK):
+        fields = ",".join(rows[k0 : k0 + ROW_BLOCK]).split(",")
+        block = np.fromiter(map(float, fields), np.float64, len(fields))
+        table[:, k0 : k0 + ROW_BLOCK] = block.reshape(-1, width).T
+        ks += map(int, fields[::width])
+    if not np.isfinite(table).all() or ks and not (-(2**63) <= min(ks) and max(ks) < 2**63):
+        _first_fault(path, rows)
+    _, e, e_tilde, n, updated, *rest = table
+    return Ledger(np.array(ks, dtype=np.int64), e, e_tilde, n, updated != 0.0, *rest)
+
+
+def _first_fault(path, rows: list[str]) -> NoReturn:
+    """Raise the ``ValueError`` naming the first fault of a faulty trace whose
+    body lines are ``rows``: a row's first fault, else the missing last "\\n"."""
+    for lineno, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} columns")
@@ -415,19 +435,12 @@ def read_trace_csv(path) -> Ledger:
         if not _ROW_AS_WRITTEN.fullmatch(line):
             i = next(i for i, f in enumerate(parts) if not re.fullmatch(_AS_WRITTEN[i], f))
             raise ValueError(f"{path}:{lineno}: column {TRACE_COLUMNS[i]} is malformed")
-        k = int(parts[0])
-        values = list(map(float, parts[1:]))
-        if not all(map(math.isfinite, values)):
-            column = next(c for c, v in zip(TRACE_COLUMNS[1:], values) if not math.isfinite(v))
-            raise ValueError(f"{path}:{lineno}: column {column} is not finite")
-        if not -(2**63) <= k < 2**63:
+        non_finite = [c for c, f in zip(TRACE_COLUMNS, parts) if not math.isfinite(float(f))]
+        if non_finite:
+            raise ValueError(f"{path}:{lineno}: column {non_finite[0]} is not finite")
+        if not -(2**63) <= int(parts[0]) < 2**63:
             raise ValueError(f"{path}:{lineno}: column k is out of range")
-        ks.append(k)
-        rows.append(values)
-    if tail:
-        raise ValueError(f"{path}:{len(lines) + 1}: line does not end in a newline")
-    e, e_tilde, n, updated, *rest = np.array(rows, dtype=np.float64).reshape(-1, 11).T.copy()
-    return Ledger(np.array(ks, dtype=np.int64), e, e_tilde, n, updated != 0.0, *rest)
+    raise ValueError(f"{path}:{len(rows) + 2}: line does not end in a newline")
 
 
 def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:

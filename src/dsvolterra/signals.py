@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .volterra import (
+    ROW_BLOCK,
     ArrayF,
     TermIndex,
     VolterraConfig,
@@ -133,13 +134,14 @@ def generate_input(spec: SignalSpec, length: int) -> ArrayF:
     innovations = math.sqrt(spec.variance) * _standard_normal(rng, length)
     if spec.kind == "white_gaussian":
         return innovations
-    x = np.empty(length)
-    prev = 0.0
-    a = spec.ar_coefficient
-    for k in range(length):
-        prev = a * prev + innovations[k]
-        x[k] = prev
-    return x
+    prev, a = 0.0, spec.ar_coefficient
+    # in place, over Python floats a block at a time: float64's roundings, no FMA
+    for k0 in range(0, length, ROW_BLOCK):
+        block = innovations[k0 : k0 + ROW_BLOCK].tolist()
+        for i, m in enumerate(block):
+            prev = block[i] = a * prev + m
+        innovations[k0 : k0 + ROW_BLOCK] = block
+    return innovations
 
 
 def generate_noise(spec: NoiseSpec, length: int) -> ArrayF:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dsvolterra import harness
-from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, _build_parser, main
 from dsvolterra.robustness import prefix_ratios, read_trace_csv, summarize_run, write_trace_csv
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets"
@@ -313,6 +313,29 @@ class TestCheck:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         assert main(["check", str(path)]) == EXIT_USAGE
+
+
+class TestOneProcess:
+    def test_commands_in_turn_behave_as_alone(self, small_config_path, tmp_path, capsys):
+        # the parser is built once per process and reused by every call
+        out_dir = tmp_path / "out"
+        commands = [
+            ["run", str(small_config_path), "--out", str(out_dir)],
+            ["check", str(out_dir / "trial_000" / "ds" / "trace.csv")],
+            ["run", str(small_config_path), "--no-such-flag"],
+            ["dims", "2", "1"],
+        ]
+
+        def outcome(argv):
+            return main(argv), capsys.readouterr()
+
+        alone = []
+        for argv in commands:
+            _build_parser.cache_clear()
+            alone.append(outcome(argv))
+        assert [outcome(argv) for argv in commands] == alone
+        assert [code for code, _ in alone] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert _build_parser() is _build_parser()
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -491,13 +492,23 @@ class TestTraceCsv:
         values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
     )
     def test_every_finite_float_reads_back(self, values):
-        # the reader's syntax takes every form of a finite double the writer emits
+        # the reader's syntax takes every form of a finite double the writer
+        # emits, on the block parser and on the row loop that names faults
         row = dict(zip(TRACE_COLUMNS[1:4] + TRACE_COLUMNS[5:], values + [-0.0, 5e-324]))
-        records = [IterationRecord(k=2**63 - 1, updated=False, **row)]
+        records = [
+            IterationRecord(k=7, updated=True, **row),
+            IterationRecord(k=2**63 - 1, updated=False, **row),
+        ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
             write_trace_csv(records, path)
             assert list(read_trace_csv(path)) == records
+            # an unterminated last line sends the file through the row loop,
+            # which must pass both rows to reach it
+            with open(path, "a") as fh:
+                fh.write("0")
+            with pytest.raises(ValueError, match=r"trace\.csv:4: line does not end in a newline"):
+                read_trace_csv(path)
 
     def test_verify_trace_flags_energy_discontinuity(self):
         # one ulp more deviation energy on a non-update row: its own arithmetic
@@ -578,6 +589,53 @@ class TestTraceCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"trace\.csv:4: column k is out of range"):
             read_trace_csv(path)
+
+
+@pytest.fixture(scope="module")
+def preset_trace(tmp_path_factory):
+    """fig1a's 2,500-row trace at seed 1, as the lines of its file."""
+    (ledger,) = harness.run_trial(harness.preset("fig1a"), 1).values()
+    path = tmp_path_factory.mktemp("preset") / "trace.csv"
+    write_trace_csv(ledger, path)
+    return path.read_text().split("\n")
+
+
+class TestTraceCsvPastTheFirstBlock:
+    FAULT_LINE = 1800
+
+    @pytest.mark.parametrize(
+        ("column", "field", "message"),
+        [
+            ("e", "0.50", "column e is malformed"),
+            ("n", "nan", "column n is not finite"),
+            ("k", str(2**63), "column k is out of range"),
+            # a CRLF ending leaves "\r" at the end of the last field
+            ("rhs", "{}\r", "column rhs is malformed"),
+        ],
+    )
+    def test_fault_names_its_line(self, preset_trace, tmp_path, column, field, message):
+        lines = list(preset_trace)
+        i = self.FAULT_LINE - 1
+        fields = lines[i].split(",")
+        j = TRACE_COLUMNS.index(column)
+        fields[j] = field.format(fields[j])
+        lines[i] = ",".join(fields)
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1800: {message}$"):
+            read_trace_csv(path)
+
+    def test_clean_trace_reads_within_3_mib(self, preset_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(preset_trace))
+        tracemalloc.start()
+        try:
+            ledger = read_trace_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ledger) == 2500
+        assert peak < 3 * 2**20
 
 
 PRESET_ITERATIONS = 1000

@@ -73,6 +73,19 @@ class TestGenerateInput:
             prev = 0.95 * prev + m[k]
             assert x[k] == prev
 
+    @pytest.mark.parametrize("a", [0.95, 0.5, -0.9, 0.999])
+    def test_ar1_bitwise_equal_to_documented_loop(self, a):
+        # over several blocks, the last one short
+        length = 1300
+        x = generate_input(SignalSpec("ar1", variance=2.0, ar_coefficient=a, seed=5), length)
+        m = generate_input(SignalSpec("white_gaussian", variance=2.0, seed=5), length)
+        want = np.empty(length)
+        prev = 0.0
+        for k in range(length):
+            prev = a * prev + m[k]
+            want[k] = prev
+        assert x.tobytes() == want.tobytes()
+
     def test_deterministic_for_seed(self):
         spec = SignalSpec("white_gaussian", variance=1.0, seed=77)
         np.testing.assert_array_equal(generate_input(spec, 1000), generate_input(spec, 1000))
