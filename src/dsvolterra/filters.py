@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Literal
@@ -11,6 +12,14 @@ import numpy as np
 
 from .errors import NumericInputError
 from .volterra import ArrayF, VolterraConfig, expand, total_dimension
+
+
+def _store_floats(spec, *names: str) -> None:
+    """Store each real field of a spec as a Python float, so that no numpy scalar
+    reaches the update law; a bool stays, for the config codec to reject."""
+    for name in names:
+        if isinstance(value := getattr(spec, name), numbers.Real) and not isinstance(value, bool):
+            object.__setattr__(spec, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,7 @@ class ThresholdPolicy:
     steady_update_threshold: int = 5
 
     def __post_init__(self) -> None:
+        _store_floats(self, "gamma_fixed", "sigma_n_sq", "tau_transient", "tau_steady")
         if self.mode not in ("fixed", "time_varying"):
             raise ValueError(f"unknown threshold mode {self.mode!r}")
         if not (math.isfinite(self.gamma_fixed) and self.gamma_fixed >= 0):

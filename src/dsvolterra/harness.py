@@ -24,7 +24,7 @@ from typing import Literal, Mapping
 import numpy as np
 
 from .errors import ConfigError, InvalidTermError, NumericInputError
-from .filters import ThresholdPolicy
+from .filters import ThresholdPolicy, _store_floats
 from .robustness import Ledger, RunVerdict, run_ledger, summarize_run, write_trace_csv
 from .signals import (
     Channel,
@@ -63,6 +63,7 @@ class AlgorithmSpec:
     mu: float | None = None
 
     def __post_init__(self) -> None:
+        _store_floats(self, "mu")
         if not _is_file_name(self.label):
             raise ConfigError(f"algorithm label {self.label!r} is not one plain path component")
         if self.kind == "ds_vnlms":

@@ -1,8 +1,8 @@
 """Per-iteration energy ledger and numerical stability certificates.
 
 For every step the ledger stores the deviation energy ||w* - w(k)||^2 before
-and after, the noiseless error, and the two sides of the local energy
-inequality: on updates,
+and after and the noiseless error, from which the checks derive the two
+sides of the local energy inequality: on updates,
 
     ||w~(k+1)||^2 + (mu/alpha) e~^2(k)  <  ||w~(k)||^2 + (mu/alpha) n^2(k)
 
@@ -53,8 +53,6 @@ class IterationRecord:
     gamma_used: float
     wtilde_sq_before: float
     wtilde_sq_after: float
-    lhs: float
-    rhs: float
     in_transient: bool | None = None
 
 
@@ -84,8 +82,6 @@ class Ledger:
     gamma_used: ArrayF
     wtilde_sq_before: ArrayF
     wtilde_sq_after: ArrayF
-    lhs: ArrayF
-    rhs: ArrayF
     in_transient: np.ndarray | None = None
 
     @classmethod
@@ -173,14 +169,6 @@ def record_iteration(
     else:
         deviation_after = w_star - w_after
         wtilde_sq_after = float(deviation_after.dot(deviation_after))
-    if outcome.updated:
-        # products, not powers, as in _weighted_energies: overflow gives inf
-        weight = outcome.mu_bar / outcome.alpha
-        lhs = wtilde_sq_after + weight * (e_tilde * e_tilde)
-        rhs = wtilde_sq_before + weight * (float(n) * float(n))
-    else:
-        lhs = wtilde_sq_after
-        rhs = wtilde_sq_before
     return IterationRecord(
         k=outcome.k,
         e=outcome.e,
@@ -192,22 +180,27 @@ def record_iteration(
         gamma_used=outcome.gamma_used,
         wtilde_sq_before=wtilde_sq_before,
         wtilde_sq_after=wtilde_sq_after,
-        lhs=lhs,
-        rhs=rhs,
         in_transient=outcome.in_transient,
     )
 
 
 def _weighted_energies(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
     """Each row's (mu/alpha) e~^2 and (mu/alpha) n^2 on updates, zero
-    elsewhere: what it adds to lhs over rhs, and to the error and disturbance
-    energies of the global ratio.  Overflow and a zero alpha give inf or NaN,
-    which the checks count as violations."""
+    elsewhere: what it adds to the two sides of the local inequality, and to
+    the error and disturbance energies of the global ratio.  Overflow and a
+    zero alpha give inf or NaN, which the checks count as violations."""
     updated, e_tilde, n = ledger.updated, ledger.e_tilde, ledger.n
     with np.errstate(all="ignore"):
         weight = np.divide(ledger.mu_bar, ledger.alpha, out=np.zeros(len(updated)), where=updated)
         # products, not powers: a huge finite field overflows to inf, not an error
         return weight * (e_tilde * e_tilde), weight * (n * n)
+
+
+def _local_sides(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
+    """Each row's two sides of the local inequality, derived from its columns:
+    after + (mu/alpha) e~^2 and before + (mu/alpha) n^2."""
+    error_energy, noise_energy = _weighted_energies(ledger)
+    return ledger.wtilde_sq_after + error_energy, ledger.wtilde_sq_before + noise_energy
 
 
 def run_ledger(
@@ -266,34 +259,21 @@ def run_ledger(
         flat = np.fromiter(chain.from_iterable(block), float, 6 * len(block))
         steps[:, rows] = flat.reshape(-1, 6).T
     e, updated, mu_bar, alpha, gamma_used, in_transient = steps
-    noise = np.array(noise, dtype=np.float64)
-    # lhs and rhs are the deviation energies until the weighted energies are added
-    ledger = Ledger(
-        np.arange(size), e, e_tilde, noise, updated != 0.0, mu_bar, alpha, gamma_used,
-        before, after, after, before, in_transient != 0.0,
+    return Ledger(
+        np.arange(size), e, e_tilde, np.array(noise, dtype=np.float64), updated != 0.0,
+        mu_bar, alpha, gamma_used, before, after, in_transient != 0.0,
     )
-    error_energy, noise_energy = _weighted_energies(ledger)
-    return dataclasses.replace(ledger, lhs=after + error_energy, rhs=before + noise_energy)
 
 
-def _equal(value: ArrayF, reference: ArrayF) -> np.ndarray:
-    """``value`` equals ``reference`` to ``EQUALITY_RTOL``, relative above one;
-    written as "<=" so that a NaN on either side is a mismatch.  An overflowed
-    reference, whose tolerance would be infinite too, matches nothing."""
-    tolerance = EQUALITY_RTOL * np.maximum(1.0, abs(reference))
-    return np.isfinite(reference) & (abs(value - reference) <= tolerance)
-
-
-def _local_ok(ledger: Ledger) -> np.ndarray:
-    """The local energy certificate per row: lhs strictly below rhs, with
-    relative slack, on updates; lhs equal to rhs to rounding otherwise."""
-    lhs, rhs = ledger.lhs, ledger.rhs
+def _local_ok(updated: np.ndarray, lhs: ArrayF, rhs: ArrayF) -> np.ndarray:
+    """The local energy certificate per row on its derived sides: lhs strictly
+    below rhs, with relative slack, on updates, and equal to ``EQUALITY_RTOL``,
+    relative above one, otherwise.  An overflowed rhs decides nothing, so it
+    fails; comparisons are written so that a NaN on either side fails."""
     with np.errstate(all="ignore"):
-        return np.where(
-            ledger.updated,
-            lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs),
-            _equal(lhs, rhs),
-        )
+        strict = lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs)
+        equal = abs(lhs - rhs) <= EQUALITY_RTOL * np.maximum(1.0, abs(rhs))
+        return np.isfinite(rhs) & np.where(updated, strict, equal)
 
 
 def prefix_ratios(rows: Ledger | Sequence[IterationRecord]) -> ArrayF:
@@ -349,7 +329,7 @@ def summarize_run(
         total_iterations=total,
         update_count=updates,
         update_rate=updates / total,
-        local_violations=int(np.count_nonzero(~_local_ok(ledger))),
+        local_violations=int(np.count_nonzero(~_local_ok(updated, *_local_sides(ledger)))),
         conditional_violations=int(np.count_nonzero(~improved)),
         global_ratio=prefix_ratios(ledger)[-1].item(),
         increase_count=increases,
@@ -376,7 +356,7 @@ def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, len(ledger), ROW_BLOCK):
             block = [c[k0 : k0 + ROW_BLOCK].tolist() for c in columns]
-            fh.writelines(row % values for values in zip(*block))
+            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 #: each trace field as :func:`write_trace_csv` emits it: ``k`` by ``%d``, ``updated``
@@ -405,6 +385,9 @@ def read_trace_csv(path) -> Ledger:
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+    if lines and lines[0] == ",".join(TRACE_COLUMNS + ("lhs", "rhs")):
+        raise ValueError(f"{path}:1: trace has the lhs,rhs columns of an older format;"
+                         " re-run its config.json")
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
     rows, width = lines[1:], len(TRACE_COLUMNS)
@@ -445,8 +428,8 @@ def _first_fault(path, rows: list[str]) -> NoReturn:
 
 def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     """Re-check a ledger: at least one row, rows numbered k = 0..K-1, each
-    row's deviation energy before equal to the previous row's after, row
-    arithmetic, the error decomposition, the local certificate on every row,
+    row's deviation energy before equal to the previous row's after, the
+    error decomposition, the local certificate on each row's derived sides,
     and the prefix ratio wherever at least one update has happened (an
     undefined ratio there is a violation).  Any NaN field fails its checks.
     Returns violation messages, row by row; empty means the trace certifies."""
@@ -460,10 +443,8 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     # and the 17-digit CSV round-trips it
     chain_broken = np.append(False, ~(before[1:] == after[:-1]))
     alpha_bad = updated & ~(ledger.alpha > 0.0)
-    error_energy, noise_energy = _weighted_energies(ledger)
+    lhs, rhs = _local_sides(ledger)
     with np.errstate(all="ignore"):
-        lhs_ok = _equal(ledger.lhs, after + error_energy)
-        sides_off = ~(lhs_ok & _equal(ledger.rhs, before + noise_energy))
         split = e_tilde + n
         # written as "not <=" so that a NaN anywhere counts as a mismatch
         scale = np.maximum(1.0, np.maximum(abs(e), abs(split)))
@@ -475,17 +456,17 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
         (chain_broken, "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
          " wtilde_sq_after={previous!r}"),
         (alpha_bad, "update with alpha={r.alpha!r}, not positive"),
-        (sides_off & ~alpha_bad, "stored lhs/rhs do not match the row fields"),
         (split_off & ~alpha_bad, "error decomposition e != e_tilde + n"),
-        (~_local_ok(ledger) & ~alpha_bad,
-         "local energy inequality violated (lhs={r.lhs!r}, rhs={r.rhs!r})"),
+        (~_local_ok(updated, lhs, rhs) & ~alpha_bad,
+         "local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"),
     )
     problems: list[str] = []
     for i in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)).tolist():
         r, previous = ledger[i], after[i - 1].item()
         expected = int(k[i - 1]) + 1 if i else 0
+        sides = {"lhs": lhs[i].item(), "rhs": rhs[i].item()}
         problems += (
-            f"row k={r.k}: " + message.format(r=r, expected=expected, previous=previous)
+            f"row k={r.k}: " + message.format(r=r, expected=expected, previous=previous, **sides)
             for mask, message in checks
             if mask[i]
         )

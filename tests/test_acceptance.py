@@ -29,6 +29,7 @@ from dsvolterra import (
     total_dimension,
 )
 from dsvolterra import harness
+from dsvolterra.robustness import Ledger, _local_sides
 
 SEEDS = tuple(range(1, 11))
 
@@ -357,8 +358,9 @@ def test_criterion_08_hand_computed_traces_reproduce():
     np.testing.assert_allclose(state.w, [0.5, 0.0], rtol=1e-12)
     assert rec.wtilde_sq_before == pytest.approx(1.0, rel=1e-12)
     assert rec.wtilde_sq_after == pytest.approx(0.25, rel=1e-12)
-    assert rec.lhs == pytest.approx(0.75, rel=1e-12)
-    assert rec.rhs == pytest.approx(1.0, rel=1e-12)
+    (lhs,), (rhs,) = _local_sides(Ledger.of([rec]))
+    assert lhs == pytest.approx(0.75, rel=1e-12)
+    assert rhs == pytest.approx(1.0, rel=1e-12)
 
     # three steps on the single-tap system: inputs [1, 1, 2], zero noise
     expected = [
@@ -375,14 +377,15 @@ def test_criterion_08_hand_computed_traces_reproduce():
         w_before = state.w
         out = ds_vnlms_step(state, d, ThresholdPolicy.fixed(0.5))
         records.append(record_iteration(w_star, w_before, state.w, out, 0.0))
-    for rec, (updated, e, mu_bar, alpha, before, after, lhs, rhs) in zip(records, expected):
+    lhs, rhs = _local_sides(Ledger.of(records))
+    for i, (updated, e, mu_bar, alpha, before, after, *sides) in enumerate(expected):
+        rec = records[i]
         assert rec.updated == updated
         assert rec.e == pytest.approx(e, rel=1e-12)
         assert rec.mu_bar == pytest.approx(mu_bar, rel=1e-12, abs=0.0)
         assert rec.alpha == pytest.approx(alpha, rel=1e-12)
         assert rec.wtilde_sq_before == pytest.approx(before, rel=1e-12)
         assert rec.wtilde_sq_after == pytest.approx(after, rel=1e-12)
-        assert rec.lhs == pytest.approx(lhs, rel=1e-12)
-        assert rec.rhs == pytest.approx(rhs, rel=1e-12)
+        assert [lhs[i], rhs[i]] == pytest.approx(sides, rel=1e-12)
     np.testing.assert_allclose(prefix_ratios(records), [0.75, 0.75, 0.6875], rtol=1e-12)
     assert summarize_run(records).global_ratio == pytest.approx(0.6875, rel=1e-12)

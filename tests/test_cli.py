@@ -12,7 +12,14 @@ import pytest
 
 from dsvolterra import harness
 from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, _build_parser, main
-from dsvolterra.robustness import prefix_ratios, read_trace_csv, summarize_run, write_trace_csv
+from dsvolterra.robustness import (
+    Ledger,
+    _local_sides,
+    prefix_ratios,
+    read_trace_csv,
+    summarize_run,
+    write_trace_csv,
+)
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets"
 SMALL_CONFIG = {
@@ -240,15 +247,17 @@ class TestCheck:
         trace = out_dir / "trial_000" / "ds" / "trace.csv"
         records = list(read_trace_csv(trace))
         target = next(i for i, r in enumerate(records) if r.updated)
-        records[target] = dataclasses.replace(records[target], lhs=records[target].rhs + 1.0)
+        # the deviation energy after the update raised past the row's rhs
+        _, rhs = _local_sides(Ledger.of(records))
+        records[target] = dataclasses.replace(records[target], wtilde_sq_after=rhs[target] + 1.0)
         write_trace_csv(records, trace)
         assert main(["check", str(trace)]) == EXIT_VERIFICATION
         err = capsys.readouterr().err
-        assert f"k={records[target].k}" in err
+        assert f"row k={records[target].k}: local energy inequality violated" in err
 
     @pytest.mark.parametrize(
         "column, value, row",
-        [("n", "nan", "non_update_after_first_update"), ("lhs", "inf", "first_update")],
+        [("n", "nan", "non_update_after_first_update"), ("wtilde_sq_after", "inf", "first_update")],
     )
     def test_non_finite_field_fails(self, small_config_path, tmp_path, capsys, column, value, row):
         # a NaN on a non-update row once slipped past every comparison and
@@ -298,6 +307,19 @@ class TestCheck:
         trace.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
         assert main(["check", str(trace)]) == EXIT_USAGE
         assert f"{trace}:1: " in capsys.readouterr().err
+
+    def test_older_trace_format_is_a_read_error(self, small_config_path, tmp_path, capsys):
+        # a trace that still stores lhs and rhs gets one message, not a verdict
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        header, *rows = (out_dir / "trial_000" / "ds" / "trace.csv").read_text().splitlines()
+        trace = tmp_path / "old.csv"
+        trace.write_text("\n".join([header + ",lhs,rhs"] + [row + ",0,0" for row in rows]) + "\n")
+        assert main(["check", str(trace)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {trace}:1: trace has the lhs,rhs columns of an older format;"
+            " re-run its config.json\n"
+        )
 
     def test_header_only_trace_fails(self, tmp_path, capsys):
         # negative control: a trace without rows certifies nothing

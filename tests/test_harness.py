@@ -1,6 +1,7 @@
 """Experiment configs, presets, shared realizations, emitted files, determinism."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -13,13 +14,18 @@ from hypothesis import strategies as st
 
 from dsvolterra import (
     Channel,
+    FilterState,
     NoiseSpec,
     SignalSpec,
     ThresholdPolicy,
     VolterraConfig,
     benchmark_channel,
+    ds_vnlms_step,
+    push_sample,
+    record_iteration,
     total_dimension,
 )
+from dsvolterra import harness
 from dsvolterra.errors import ConfigError
 from dsvolterra.harness import (
     AlgorithmSpec,
@@ -33,6 +39,7 @@ from dsvolterra.harness import (
     preset,
 )
 from dsvolterra.cli import EXIT_USAGE, main
+from dsvolterra.robustness import Ledger
 
 PRESET_FILES = sorted(
     (Path(__file__).resolve().parent.parent / "src" / "dsvolterra" / "presets").glob("*.json"),
@@ -520,8 +527,11 @@ class TestRunExperiment:
             i = header.index(name)
             return np.array([float(line.split(",")[i]) for line in lines[1:]])
 
-        lhs = column("lhs")
-        rhs = column("rhs")
+        # the trace holds the inputs of the two sides, not the sides
+        weight = np.where(column("updated") == 1.0, column("mu_bar") / column("alpha"), 0.0)
+        lhs = column("wtilde_sq_after") + weight * column("e_tilde") ** 2
+        rhs = column("wtilde_sq_before") + weight * column("n") ** 2
+        assert column("updated").any()
         assert np.all(lhs <= rhs + 1e-10 * np.maximum(1.0, rhs))
 
     @pytest.mark.parametrize(
@@ -627,6 +637,64 @@ class TestCompareAlgorithms:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["aggregate"]) == {"vnlms", "ds"}
         assert len(summary["runs"]) == 2
+
+
+class TestNumpyScalarSpecs:
+    """Regression: a numpy float threshold once passed validation and then
+    crashed the engine (a numpy bool gate indexed a tuple), while the
+    streaming step returned a numpy bool flag and a numpy int count."""
+
+    FLOAT_FIELDS = ("gamma_fixed", "sigma_n_sq", "tau_transient", "tau_steady")
+
+    def test_float_fields_are_stored_as_python_floats(self):
+        policy = ThresholdPolicy.time_varying(
+            np.float64(0.01), gamma_fixed=np.float32(0.5), tau_transient=np.int64(3),
+            tau_steady=np.float64(9.0),
+        )
+        assert [type(getattr(policy, name)) for name in self.FLOAT_FIELDS] == [float] * 4
+        assert type(AlgorithmSpec("v", "vnlms", mu=np.float64(0.5)).mu) is float
+
+    @pytest.mark.parametrize(
+        "plain, built",
+        [
+            (
+                AlgorithmSpec("a", "ds_vnlms", ThresholdPolicy.fixed(0.2)),
+                AlgorithmSpec("a", "ds_vnlms", ThresholdPolicy.fixed(np.float64(0.2))),
+            ),
+            (
+                AlgorithmSpec("a", "vnlms", mu=0.5),
+                AlgorithmSpec("a", "vnlms", mu=np.float64(0.5)),
+            ),
+        ],
+        ids=["threshold", "mu"],
+    )
+    def test_engine_runs_a_numpy_float_like_the_float(self, plain, built, tmp_path):
+        config = dataclasses.replace(preset("fig1a"), iterations=600, trials=1)
+        runs = [
+            compare_algorithms(dataclasses.replace(config, algorithms=(alg,)), tmp_path / name)
+            for name, alg in (("plain", plain), ("built", built))
+        ]
+        (want,), (got,) = (run["trials"][0]["records"].values() for run in runs)
+        assert got == want
+        for rel in ("config.json", "trial_000/a/trace.csv", "trial_000/a/summary.json"):
+            from_numpy, from_float = (tmp_path / "built" / rel, tmp_path / "plain" / rel)
+            assert from_numpy.read_bytes() == from_float.read_bytes(), rel
+
+    def test_streaming_step_gives_python_flags(self):
+        config = dataclasses.replace(preset("fig1a"), iterations=600)
+        x, _, n, w_star, d = harness._realization(config, 1)
+        ledgers = []
+        for gamma in (0.2, np.float64(0.2)):
+            policy, state, rows = ThresholdPolicy.fixed(gamma), FilterState(config.volterra), []
+            for k in range(config.iterations):
+                push_sample(state, x[k])
+                w_before = state.w
+                outcome = ds_vnlms_step(state, d[k], policy)
+                assert type(outcome.updated) is bool and type(state.update_count) is int
+                rows.append(record_iteration(w_star, w_before, state.w, outcome, n[k]))
+            ledgers.append(Ledger.of(rows))
+        assert ledgers[0] == ledgers[1]
+        assert ledgers[0].updated.any() and not ledgers[0].updated.all()
 
 
 class TestSeedDerivation:

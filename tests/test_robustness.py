@@ -41,7 +41,9 @@ from dsvolterra.robustness import (
     TRACE_COLUMNS,
     IterationRecord,
     Ledger,
+    _local_sides,
 )
+from dsvolterra.volterra import ROW_BLOCK
 
 
 def run_hand_trace(inputs, desired, gamma, w_star, config):
@@ -107,8 +109,9 @@ class TestCanonicalSingleUpdate:
         assert record.wtilde_sq_after == 0.25
 
     def test_lhs_rhs(self, record):
-        assert record.lhs == pytest.approx(0.75, rel=1e-12)
-        assert record.rhs == pytest.approx(1.0, rel=1e-12)
+        (lhs,), (rhs,) = _local_sides(Ledger.of([record]))
+        assert lhs == pytest.approx(0.75, rel=1e-12)
+        assert rhs == pytest.approx(1.0, rel=1e-12)
         assert summarize_run([record]).local_violations == 0
 
     def test_global_ratio(self, record):
@@ -146,7 +149,8 @@ class TestThreeStepHandTrace:
 
     def test_rows_match_frozen_table(self, records):
         assert len(records) == 3
-        for record, expected in zip(records, self.EXPECTED):
+        sides = zip(*_local_sides(Ledger.of(records)))
+        for record, (got_lhs, got_rhs), expected in zip(records, sides, self.EXPECTED):
             updated, e, e_tilde, mu_bar, alpha, before, after, lhs, rhs = expected
             assert record.updated == updated
             assert record.e == pytest.approx(e, rel=1e-12)
@@ -155,13 +159,14 @@ class TestThreeStepHandTrace:
             assert record.alpha == pytest.approx(alpha, rel=1e-12)
             assert record.wtilde_sq_before == pytest.approx(before, rel=1e-12)
             assert record.wtilde_sq_after == pytest.approx(after, rel=1e-12)
-            assert record.lhs == pytest.approx(lhs, rel=1e-12)
-            assert record.rhs == pytest.approx(rhs, rel=1e-12)
+            assert got_lhs == pytest.approx(lhs, rel=1e-12)
+            assert got_rhs == pytest.approx(rhs, rel=1e-12)
 
     def test_zero_noise_margin_positive_on_updates(self, records):
-        for record in records:
+        lhs, rhs = _local_sides(Ledger.of(records))
+        for record, margin in zip(records, rhs - lhs):
             if record.updated:
-                assert record.rhs - record.lhs > 0.0
+                assert margin > 0.0
 
     def test_prefix_ratios(self, records):
         ratios = prefix_ratios(records)
@@ -181,7 +186,7 @@ class TestCheckLocal:
     def test_non_updated_requires_equality(self):
         verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.0, rhs=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0,
         )
         assert verdict.local_violations == 0
 
@@ -189,14 +194,23 @@ class TestCheckLocal:
         # negative control: the checker must flag lhs > rhs on an update
         verdict = one_row(
             k=0, e=1.0, e_tilde=1.0, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.5, lhs=2.0, rhs=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.5,
         )
         assert verdict.local_violations == 1
 
     def test_non_updated_drift_detected(self):
         verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.01, lhs=1.01, rhs=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.01,
+        )
+        assert verdict.local_violations == 1
+
+    def test_non_updated_drop_detected(self):
+        # without an update the deviation energy may not fall either: the
+        # strict branch's test would pass this row
+        verdict = one_row(
+            k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=0.99,
         )
         assert verdict.local_violations == 1
 
@@ -212,38 +226,44 @@ class TestRecordIterationEnergies:
         )
         w_star = np.array([1.0, 0.0])
         record = record_iteration(w_star, np.zeros(2), np.array([0.5, 0.0]), outcome, 1e200)
-        assert record.rhs == math.inf
-        assert record.lhs == 0.25 + 0.5 * 1.0
-        assert "row k=0: stored lhs/rhs do not match the row fields" in verify_trace([record])
+        (lhs,), (rhs,) = _local_sides(Ledger.of([record]))
+        assert rhs == math.inf
+        assert lhs == 0.25 + 0.5 * 1.0
+        # an overflowed side decides nothing
+        assert verify_trace([record]) == [
+            "row k=0: local energy inequality violated (lhs=0.75, rhs=inf)"
+        ]
 
     def test_lhs_and_rhs_follow_the_column_rule_bit_for_bit(self):
         ledger = Ledger.of(random_run(seed=3))
         weight = np.where(ledger.updated, ledger.mu_bar / ledger.alpha, 0.0)
         lhs = ledger.wtilde_sq_after + weight * (ledger.e_tilde * ledger.e_tilde)
         rhs = ledger.wtilde_sq_before + weight * (ledger.n * ledger.n)
-        assert np.array_equal(ledger.lhs, lhs)
-        assert np.array_equal(ledger.rhs, rhs)
+        for rows in (ledger, Ledger.of(list(ledger))):
+            got_lhs, got_rhs = _local_sides(rows)
+            assert np.array_equal(got_lhs, lhs)
+            assert np.array_equal(got_rhs, rhs)
 
 
 class TestConditionalImprovement:
     def test_vacuous_when_not_updated(self):
         verdict = one_row(
             k=0, e=0.1, e_tilde=2.0, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.0, rhs=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0,
         )
         assert verdict.conditional_violations == 0
 
     def test_vacuous_when_noise_dominates(self):
         verdict = one_row(
             k=0, e=1.0, e_tilde=0.1, n=0.9, updated=True, mu_bar=0.5, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.2, lhs=1.2, rhs=1.4,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.2,
         )
         assert verdict.conditional_violations == 0
 
     def test_violation_detected(self):
         verdict = one_row(
             k=0, e=1.0, e_tilde=1.0, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0, lhs=1.5, rhs=1.0,
+            gamma_used=0.5, wtilde_sq_before=1.0, wtilde_sq_after=1.0,
         )
         assert verdict.conditional_violations == 1
 
@@ -253,14 +273,14 @@ class TestGlobalRatio:
         # no updates ever: ratio collapses to ||w~(0)||^2 / ||w~(0)||^2 = 1
         verdict = one_row(
             k=0, e=0.1, e_tilde=0.1, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=2.0, wtilde_sq_after=2.0, lhs=2.0, rhs=2.0,
+            gamma_used=0.5, wtilde_sq_before=2.0, wtilde_sq_after=2.0,
         )
         assert verdict.global_ratio == 1.0
 
     def test_zero_denominator_is_undefined(self):
         verdict = one_row(
             k=0, e=0.0, e_tilde=0.0, n=0.0, updated=False, mu_bar=0.0, alpha=1.0,
-            gamma_used=0.5, wtilde_sq_before=0.0, wtilde_sq_after=0.0, lhs=0.0, rhs=0.0,
+            gamma_used=0.5, wtilde_sq_before=0.0, wtilde_sq_after=0.0,
         )
         assert math.isnan(verdict.global_ratio)
         assert verdict.as_dict()["global_ratio"] is None
@@ -383,6 +403,37 @@ class TestTraceCsv:
         want = [str(2**62)] + [format(row[c], ".17g") if c in row else "1" for c in TRACE_COLUMNS[1:]]
         assert path.read_text().splitlines()[1] == ",".join(want)
 
+    def test_header_is_the_ten_ledger_columns(self, tmp_path):
+        # the two sides of the local inequality are derived, not written
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=9, iters=10), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == (
+            "k,e,e_tilde,n,updated,mu_bar,alpha,gamma_used,wtilde_sq_before,wtilde_sq_after"
+        )
+        assert {line.count(",") for line in lines} == {9}
+
+    def test_older_format_with_stored_sides_is_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=9, iters=10), path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header + ",lhs,rhs"] + [row + ",0,0" for row in rows]) + "\n")
+        message = (
+            f"{path}:1: trace has the lhs,rhs columns of an older format; re-run its config.json"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace_csv(path)
+
+    def test_blocks_write_each_row_as_alone(self, tmp_path):
+        # one format call per block of ROW_BLOCK rows: the bytes of one row at a time
+        config = dataclasses.replace(harness.preset("fig1a"), iterations=2 * ROW_BLOCK + 3)
+        (ledger,) = harness.run_trial(config, 1).values()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(ledger, path)
+        formats = ["%d" if c in ("k", "updated") else "%.17g" for c in TRACE_COLUMNS]
+        want = [",".join(f % getattr(r, c) for f, c in zip(formats, TRACE_COLUMNS)) for r in ledger]
+        assert path.read_text().split("\n") == [",".join(TRACE_COLUMNS)] + want + [""]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -398,11 +449,13 @@ class TestTraceCsv:
     def test_verify_trace_flags_corruption(self, tmp_path):
         records = random_run(seed=11, iters=200)
         path = tmp_path / "trace.csv"
-        # raise one lhs above its rhs
+        # raise one update's deviation energy after, and with it its lhs,
+        # above its rhs
         target = next(i for i, r in enumerate(records) if r.updated)
+        _, rhs = _local_sides(Ledger.of(records))
         corrupted = list(records)
         corrupted[target] = dataclasses.replace(
-            records[target], lhs=records[target].rhs * 2.0 + 1.0
+            records[target], wtilde_sq_after=rhs[target] * 2.0 + 1.0
         )
         write_trace_csv(corrupted, path)
         problems = verify_trace(read_trace_csv(path))
@@ -451,7 +504,7 @@ class TestTraceCsv:
             ("e", "00.5"),
             ("e", "1e+5"),
             ("e", "1.0"),
-            ("rhs", "\u0663"),
+            ("wtilde_sq_after", "\u0663"),
         ],
     )
     def test_field_must_be_as_written(self, tmp_path, column, field):
@@ -489,7 +542,7 @@ class TestTraceCsv:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6)
     )
     def test_every_finite_float_reads_back(self, values):
         # the reader's syntax takes every form of a finite double the writer
@@ -517,9 +570,7 @@ class TestTraceCsv:
         target = next(i for i, r in enumerate(records) if i > 0 and not r.updated)
         bumped = math.nextafter(records[target].wtilde_sq_before, math.inf)
         corrupted = list(records)
-        corrupted[target] = dataclasses.replace(
-            records[target], wtilde_sq_before=bumped, rhs=bumped
-        )
+        corrupted[target] = dataclasses.replace(records[target], wtilde_sq_before=bumped)
         problems = verify_trace(corrupted)
         assert len(problems) == 1
         assert problems[0].startswith(f"row k={target}: wtilde_sq_before=")
@@ -541,39 +592,42 @@ class TestTraceCsv:
         records = random_run(seed=16, iters=50)
         last = records[-1]
         bumped = math.nextafter(last.wtilde_sq_before, math.inf)
-        lhs = last.rhs * 2.0 + 1.0
+        raised = bumped + 1e-3
         corrupted = records[:-1] + [
-            dataclasses.replace(last, k=len(records), wtilde_sq_before=bumped, lhs=lhs)
+            dataclasses.replace(
+                last, k=len(records), wtilde_sq_before=bumped, wtilde_sq_after=raised
+            )
         ]
         k = len(records)
+        # without an update the two sides are the deviation energies
+        assert not last.updated
         assert verify_trace(corrupted) == [
             f"row k={k}: expected k={k - 1}, rows must run k = 0..K-1",
             f"row k={k}: wtilde_sq_before={bumped!r} is not the previous row's"
             f" wtilde_sq_after={records[-2].wtilde_sq_after!r}",
-            f"row k={k}: stored lhs/rhs do not match the row fields",
-            f"row k={k}: local energy inequality violated (lhs={lhs!r}, rhs={last.rhs!r})",
+            f"row k={k}: local energy inequality violated (lhs={raised!r}, rhs={bumped!r})",
         ]
 
     def test_update_without_positive_alpha_skips_the_row_arithmetic(self):
-        # the row's broken lhs/rhs, split and local inequality report nothing
+        # the row's NaN sides (an infinite weight times a zero e_tilde), broken
+        # split and local inequality report nothing
         records = random_run(seed=16, iters=50)
         i = next(i for i, r in enumerate(records) if r.updated)
         row = records[i]
-        records[i] = dataclasses.replace(row, alpha=0.0, e_tilde=0.0, lhs=row.rhs * 2.0 + 1.0)
+        records[i] = dataclasses.replace(row, alpha=0.0, e_tilde=0.0)
         problems = verify_trace(records)
         assert [p for p in problems if p.startswith("row")] == [
             f"row k={row.k}: update with alpha=0.0, not positive"
         ]
 
     def test_overflowed_row_arithmetic_matches_nothing(self):
-        # (mu/alpha) e~^2 overflows to inf: a finite stored lhs is not within
-        # an infinite tolerance of it
+        # (mu/alpha) e~^2 overflows to inf, and so does the derived lhs
         row = IterationRecord(
             k=0, e=1e200, e_tilde=1e200, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
-            gamma_used=0.0, wtilde_sq_before=1.0, wtilde_sq_after=0.5, lhs=0.75, rhs=1.0,
+            gamma_used=0.0, wtilde_sq_before=1.0, wtilde_sq_after=0.5,
         )
         assert verify_trace([row]) == [
-            "row k=0: stored lhs/rhs do not match the row fields",
+            "row k=0: local energy inequality violated (lhs=inf, rhs=1.0)",
             "prefix K=1: global ratio inf not below one",
         ]
 
@@ -610,7 +664,7 @@ class TestTraceCsvPastTheFirstBlock:
             ("n", "nan", "column n is not finite"),
             ("k", str(2**63), "column k is out of range"),
             # a CRLF ending leaves "\r" at the end of the last field
-            ("rhs", "{}\r", "column rhs is malformed"),
+            ("wtilde_sq_after", "{}\r", "column wtilde_sq_after is malformed"),
         ],
     )
     def test_fault_names_its_line(self, preset_trace, tmp_path, column, field, message):
@@ -689,21 +743,19 @@ def verify_rows_reference(rows):
         if r.updated and not r.alpha > 0.0:
             problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
             continue
-        weight = r.mu_bar / r.alpha if r.updated else 0.0
-        lhs = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
-        rhs = r.wtilde_sq_before + weight * (r.n * r.n)
-        if not (close(r.lhs, lhs) and close(r.rhs, rhs)):
-            problems.append(f"row k={r.k}: stored lhs/rhs do not match the row fields")
         split = r.e_tilde + r.n
         if not abs(r.e - split) <= EQUALITY_RTOL * max(1.0, abs(r.e), abs(split)):
             problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
+        weight = r.mu_bar / r.alpha if r.updated else 0.0
+        lhs = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
+        rhs = r.wtilde_sq_before + weight * (r.n * r.n)
         if r.updated:
-            local_ok = r.lhs < r.rhs + LOCAL_SLACK * max(1.0, r.rhs)
+            local_ok = math.isfinite(rhs) and lhs < rhs + LOCAL_SLACK * max(1.0, rhs)
         else:
-            local_ok = close(r.lhs, r.rhs)
+            local_ok = close(lhs, rhs)
         if not local_ok:
             problems.append(
-                f"row k={r.k}: local energy inequality violated (lhs={r.lhs!r}, rhs={r.rhs!r})"
+                f"row k={r.k}: local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"
             )
     error = disturbance = np.float64(0.0)
     updates = 0
@@ -755,7 +807,7 @@ class TestLedger:
         assert list(ledger[10:20]) == rows[10:20]
         with pytest.raises(IndexError):
             ledger[PRESET_ITERATIONS]
-        assert ledger != dataclasses.replace(ledger, lhs=ledger.lhs + 1.0)
+        assert ledger != dataclasses.replace(ledger, wtilde_sq_after=ledger.wtilde_sq_after + 1.0)
 
     def test_engine_rows_and_oracle_give_equal_verdicts(self, preset_runs):
         for where, (ledger, oracle) in preset_runs.items():
