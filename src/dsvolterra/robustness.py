@@ -196,10 +196,13 @@ def _weighted_energies(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
         return weight * (e_tilde * e_tilde), weight * (n * n)
 
 
-def _local_sides(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
+def _local_sides(
+    ledger: Ledger, energies: tuple[ArrayF, ArrayF] | None = None
+) -> tuple[ArrayF, ArrayF]:
     """Each row's two sides of the local inequality, derived from its columns:
-    after + (mu/alpha) e~^2 and before + (mu/alpha) n^2."""
-    error_energy, noise_energy = _weighted_energies(ledger)
+    after + (mu/alpha) e~^2 and before + (mu/alpha) n^2.  ``energies`` are
+    the ledger's :func:`_weighted_energies`, when the caller has them."""
+    error_energy, noise_energy = _weighted_energies(ledger) if energies is None else energies
     return ledger.wtilde_sq_after + error_energy, ledger.wtilde_sq_before + noise_energy
 
 
@@ -285,7 +288,12 @@ def prefix_ratios(rows: Ledger | Sequence[IterationRecord]) -> ArrayF:
     Prefixes whose disturbance energy is still zero yield NaN.
     """
     ledger = Ledger.of(rows)
-    error_energy, noise_energy = _weighted_energies(ledger)
+    return _prefix_ratios(ledger, _weighted_energies(ledger))
+
+
+def _prefix_ratios(ledger: Ledger, energies: tuple[ArrayF, ArrayF]) -> ArrayF:
+    """:func:`prefix_ratios` of a ledger, given its :func:`_weighted_energies`."""
+    error_energy, noise_energy = energies
     with np.errstate(all="ignore"):
         num = ledger.wtilde_sq_after + np.cumsum(error_energy)
         # a one-element slice broadcasts, and stays empty for an empty ledger
@@ -325,13 +333,15 @@ def summarize_run(
     with np.errstate(all="ignore"):
         improved = ~updated | (e_tilde * e_tilde < n * n) | (after < before)
     updates, increases = int(np.count_nonzero(updated)), int(np.count_nonzero(increased))
+    energies = _weighted_energies(ledger)
+    local_ok = _local_ok(updated, *_local_sides(ledger, energies))
     return RunVerdict(
         total_iterations=total,
         update_count=updates,
         update_rate=updates / total,
-        local_violations=int(np.count_nonzero(~_local_ok(updated, *_local_sides(ledger)))),
+        local_violations=int(np.count_nonzero(~local_ok)),
         conditional_violations=int(np.count_nonzero(~improved)),
-        global_ratio=prefix_ratios(ledger)[-1].item(),
+        global_ratio=_prefix_ratios(ledger, energies)[-1].item(),
         increase_count=increases,
         increase_fraction=increases / total,
         increases_in_transient=int(np.count_nonzero(increased & transient)),
@@ -443,7 +453,8 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     # and the 17-digit CSV round-trips it
     chain_broken = np.append(False, ~(before[1:] == after[:-1]))
     alpha_bad = updated & ~(ledger.alpha > 0.0)
-    lhs, rhs = _local_sides(ledger)
+    energies = _weighted_energies(ledger)
+    lhs, rhs = _local_sides(ledger, energies)
     with np.errstate(all="ignore"):
         split = e_tilde + n
         # written as "not <=" so that a NaN anywhere counts as a mismatch
@@ -470,7 +481,7 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
             for mask, message in checks
             if mask[i]
         )
-    ratios = prefix_ratios(ledger)
+    ratios = _prefix_ratios(ledger, energies)
     above_one = (np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK)
     for i in np.flatnonzero(above_one).tolist():
         problems.append(f"prefix K={i + 1}: global ratio {ratios[i].item()!r} not below one")

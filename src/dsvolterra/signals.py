@@ -14,7 +14,7 @@ from .volterra import (
     ArrayF,
     TermIndex,
     VolterraConfig,
-    expand_series,
+    _series_blocks,
     position_of,
     total_dimension,
 )
@@ -172,11 +172,17 @@ def benchmark_channel() -> Channel:
 
 
 def desired_signal(channel: Channel, input_signal, noise) -> ArrayF:
-    """d(k): channel response to the zero-primed input plus measurement noise."""
+    """d(k): channel response to the zero-primed input plus measurement noise,
+    formed one block of ``ROW_BLOCK`` regressor rows at a time, never the
+    whole regressor matrix."""
     x = np.asarray(input_signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if x.ndim != 1 or x.shape != n.shape:
         raise DimensionMismatchError(
             f"input {x.shape} and noise {n.shape} must be equal-length vectors"
         )
-    return expand_series(x, channel.config) @ channel.kernel + n
+    d = np.empty(x.shape[0])
+    for rows, block in _series_blocks(x, channel.config):
+        d[rows] = block @ channel.kernel
+    d += n
+    return d

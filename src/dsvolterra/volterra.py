@@ -28,7 +28,7 @@ ArrayF = npt.NDArray[np.float64]
 _MAX_DIMENSION = 2_000_000
 _MAX_LAG_ENTRIES = 20_000_000
 
-#: rows per block of expand_series, run_ledger and write_trace_csv; bounds memory
+#: rows per block of the series expansion, run_ledger and write_trace_csv; bounds memory
 ROW_BLOCK = 512
 
 
@@ -188,28 +188,43 @@ def expand(delay_line, config: VolterraConfig) -> ArrayF:
     return _chain(dl[lasts], chains)
 
 
+def _series_blocks(x: ArrayF, config: VolterraConfig):
+    """Yield ``(rows, block)``, ``ROW_BLOCK`` rows at a time, for a 1-D float64
+    signal with a zero-primed delay line: ``block`` holds regressor rows ``rows``
+    column-major, bit for bit as :func:`expand` gives them, in one buffer reused
+    for every block.  Callers that multiply blocks by a kernel share rounding
+    through this layout: BLAS can round a product on a final block of 1-3 rows
+    differently from one on the same rows inside a taller matrix."""
+    _, _, (lasts, chains) = _layout(config.order, config.memory)
+    size, dimension = x.shape[0], lasts.shape[0]
+    # row i of the lag matrix is x delayed by i: column k is the delay line
+    # [x(k), ..., x(k-N)] after sample k
+    padded = np.concatenate([np.zeros(config.memory), x])
+    lags = sliding_window_view(padded, size)[::-1]
+    buffer = np.empty(dimension * min(ROW_BLOCK, size))
+    for r0 in range(0, size, ROW_BLOCK):
+        rows = slice(r0, min(r0 + ROW_BLOCK, size))
+        products = buffer[: dimension * (rows.stop - r0)].reshape(dimension, -1)
+        # mode "raise" would gather into a temporary and copy it over
+        np.take(lags[:, rows], lasts, axis=0, out=products, mode="clip")
+        yield rows, _chain(products, chains).T
+
+
 def expand_series(signal, config: VolterraConfig) -> ArrayF:
     """Regressor matrix for a whole signal with a zero-primed delay line.
 
     Row ``k`` equals :func:`expand` of the delay line after the samples
     ``signal[0..k]`` have been pushed, bit for bit: the same product chain
     runs on blocks of ``ROW_BLOCK`` rows, so the working memory beyond the
-    result is one block.  The result is column-major (Fortran order):
-    callers form ``X @ w`` with BLAS, which rounds a matrix-vector product
-    differently on a row-major matrix, so the layout fixes their results.
+    result is one block.  The result is column-major (Fortran order), the
+    layout of the blocks it is copied from.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatchError("signal must be a 1-D vector")
-    _, _, (lasts, chains) = _layout(config.order, config.memory)
-    # row i of the lag matrix is x delayed by i: column k is the delay line
-    # [x(k), ..., x(k-N)] after sample k
-    padded = np.concatenate([np.zeros(config.memory), x])
-    lags = sliding_window_view(padded, x.shape[0])[::-1]
-    out = np.empty((x.shape[0], lasts.shape[0]), order="F")
-    for r0 in range(0, x.shape[0], ROW_BLOCK):
-        rows = slice(r0, r0 + ROW_BLOCK)
-        out[rows] = _chain(lags[lasts, rows], chains).T
+    out = np.empty((x.shape[0], total_dimension(config)), order="F")
+    for rows, block in _series_blocks(x, config):
+        out[rows] = block
     return out
 
 

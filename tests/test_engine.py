@@ -8,6 +8,7 @@ documented streaming loop (``push_sample``, ``ds_vnlms_step`` or
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dsvolterra import (
     generate_noise,
     push_sample,
     record_iteration,
+    total_dimension,
     vnlms_step,
 )
 from dsvolterra import harness
@@ -147,11 +149,25 @@ def test_non_finite_input_rejected(signal):
 
 
 def test_desired_signal_is_the_channel_response():
-    config = _config("fig1a")
-    x, regressors, n, w_star, d = harness._realization(config, 1)
-    channel = Channel(w_star, config.volterra)
-    assert np.array_equal(regressors, expand_series(x, config.volterra))
-    assert np.array_equal(d, desired_signal(channel, x, n))
+    # block edges and final blocks of 1-3 rows, in two layouts, for the
+    # benchmark channel and for one with every term of the layout
+    for iterations, layout, dense in itertools.product(
+        (1, 3, 511, 512, 513, 514, 515, 1027, ITERATIONS), ((3, 3), (3, 8)), (False, True)
+    ):
+        case = (iterations, layout, dense)
+        volterra = VolterraConfig(*layout)
+        config = dataclasses.replace(_config("fig1a"), iterations=iterations, volterra=volterra)
+        if dense:
+            kernel = np.random.default_rng(iterations).normal(size=total_dimension(volterra))
+            config = dataclasses.replace(config, channel=Channel(kernel, volterra))
+        x, regressors, n, w_star, d = harness._realization(config, 1)
+        channel = Channel(w_star, config.volterra)
+        assert np.array_equal(regressors, expand_series(x, config.volterra)), case
+        assert np.array_equal(d, desired_signal(channel, x, n)), case
+        # the whole matrix in one product is only close: BLAS can round a final
+        # block of 1-3 rows differently from the same rows inside a taller matrix
+        one_shot = regressors @ w_star + n
+        assert np.all(np.abs(d - one_shot) <= REL_TOL * np.maximum(1.0, np.abs(one_shot))), case
 
 
 @pytest.mark.parametrize("window", [10, 30])

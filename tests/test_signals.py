@@ -1,5 +1,7 @@
 """Signal and noise generation, the benchmark channel, desired-signal composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dsvolterra import (
     generate_input,
     generate_noise,
     position_of,
+    total_dimension,
 )
 from dsvolterra.errors import DimensionMismatchError
 from dsvolterra.harness import load_kernel_file
@@ -180,6 +183,21 @@ class TestDesiredSignal:
         ch = benchmark_channel()
         with pytest.raises(DimensionMismatchError):
             desired_signal(ch, np.zeros(5), np.zeros(6))
+
+    def test_working_memory_is_one_block(self):
+        # the response is formed one block of regressor rows at a time;
+        # multiplying the whole 50,000 x 219 regressor matrix peaked at 85 MiB
+        layout = VolterraConfig(3, 8)
+        rng = np.random.default_rng(5)
+        x, noise = rng.normal(size=50_000), rng.normal(size=50_000)
+        channel = Channel(rng.normal(size=total_dimension(layout)), layout)
+        tracemalloc.start()
+        try:
+            desired_signal(channel, x, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestKernelFile:

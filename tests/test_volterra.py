@@ -225,8 +225,8 @@ class TestExpandSeries:
 
     @pytest.mark.parametrize("order, memory", [(1, 3), (2, 0), (3, 0), (3, 3), (3, 8)])
     def test_matrix_is_column_major(self, order, memory):
-        # callers form d = X @ w* with BLAS gemv, which rounds differently on
-        # a row-major matrix, so the layout fixes d and every update flag
+        # the ledger reads e~ off X with an einsum, which can round
+        # differently on a row-major matrix, so the layout fixes that column
         x = np.random.default_rng(2).normal(size=700)
         assert expand_series(x, VolterraConfig(order, memory)).flags.f_contiguous
 
