@@ -141,10 +141,15 @@ def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
     return math.sqrt(tau * policy.sigma_n_sq)
 
 
+#: why a step that must move cannot be normalized
+ZERO_ENERGY = "zero regressor energy with zero regularization; cannot normalize"
+
+
 def _update(
     w: ArrayF, x: ArrayF, desired: float, delta: float, gamma: float, mu: float | None
 ) -> tuple[ArrayF, float, bool, float, float]:
-    """The update law shared by every step, streaming or batched.
+    """The update law of every streaming step, and the reference that the
+    trial engine's inline copy (:func:`robustness.run_ledger`) is tested against.
 
     Error e = d - w'x, normalization alpha = x'x + delta.  Without a constant
     step size ``mu`` the step is data-selective: it moves only when |e|
@@ -162,9 +167,7 @@ def _update(
         updated, mu_bar = True, mu
     if updated and e != 0.0:
         if alpha == 0.0:
-            raise NumericInputError(
-                "zero regressor energy with zero regularization; cannot normalize"
-            )
+            raise NumericInputError(ZERO_ENERGY)
         w = w + (mu_bar / alpha) * e * x
     return w, e, updated, mu_bar, alpha
 

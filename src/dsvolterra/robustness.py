@@ -28,9 +28,8 @@ from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .filters import StepOutcome, ThresholdPolicy, _check_step_size, _gamma, _push_flag
-from .filters import _transient, _update
+from .errors import DimensionMismatchError, NumericInputError
+from .filters import ZERO_ENERGY, StepOutcome, ThresholdPolicy, _check_step_size, _gamma
 from .volterra import ROW_BLOCK, ArrayF
 
 #: relative slack for the strict branch of the local inequality
@@ -219,52 +218,73 @@ def run_ledger(
     policy) or :func:`filters.vnlms_step` (``law`` a step size) take on the
     same rows, and the rows :func:`record_iteration` gives for them.
 
-    A policy's detector keeps its flag window and count as the streaming step
-    does; a step size runs no detector, every step is transient.  Per block
-    of ``ROW_BLOCK`` steps the ledger is read off the estimates in force, so
-    a step that leaves the estimate unchanged keeps its deviation energy exactly.
+    The row loop writes the update law and the transient detector out
+    inline: its only numpy calls per row are ``w.dot(x)`` and, on updates,
+    the step, and alpha comes from one ``np.vecdot`` over the run.  The
+    streaming functions stay the reference it is tested against.  A policy's
+    detector keeps its flag window and count as the streaming step does; a
+    step size runs no detector, every step is transient.  Per block of
+    ``ROW_BLOCK`` steps the ledger is read off the distinct estimates in
+    force, so a step that leaves the estimate unchanged keeps its deviation
+    energy exactly.
     """
     if isinstance(law, ThresholdPolicy):
-        mu, flags, threshold = None, deque(maxlen=law.window_length), law.steady_update_threshold
+        mu, window, threshold = None, law.window_length, law.steady_update_threshold
         gammas = (_gamma(law, False), _gamma(law, True))
     else:
         _check_step_size(law)
         mu, gammas = law, (0.0, 0.0)
-    transient, count = True, 0
-    d = np.asarray(desired, dtype=np.float64).tolist()
+    flags, count, transient = deque(), 0, True
+    d = np.asarray(desired, dtype=np.float64)
     size = len(d)
     # rows of a row-major copy are contiguous, like the vector the streaming
-    # path expands; BLAS dot products on the strided rows of a column-major
-    # matrix can round differently
+    # path expands: there vecdot and x.dot(x) run the same float64 dot loop,
+    # while on the strided rows of a column-major matrix BLAS can round
+    # differently
     x = np.ascontiguousarray(regressors)
+    alphas = np.vecdot(x, x) + delta
     w = np.zeros(x.shape[1])
-    # e, updated, mu_bar, alpha, gamma_used, in_transient per step
-    steps = np.empty((6, size))
-    e_tilde, before, after = np.empty((3, size))
+    e, mu_bar, e_tilde, before, after = np.empty((5, size))
+    updated, in_transient = np.empty((2, size), dtype=bool)
     for k0 in range(0, size, ROW_BLOCK):
-        rows = slice(k0, k0 + ROW_BLOCK)
-        # the estimate in force before each step, and after the last
-        held, block = [], []
-        for k in range(*rows.indices(size)):
+        span = slice(k0, k0 + ROW_BLOCK)
+        # the distinct estimates in force, and each step's index into them
+        held, at = [w], []
+        es, ups, mus, transients = [], [], [], []
+        for x_k, d_k, alpha in zip(list(x[span]), d[span].tolist(), alphas[span].tolist()):
             if mu is None:
-                transient = _transient(flags, count, threshold)
+                transient = len(flags) < window or count >= threshold
             gamma = gammas[transient]
-            held.append(w)
-            w, e, updated, mu_bar, alpha = _update(w, x[k], d[k], delta, gamma, mu)
-            block.append((e, updated, mu_bar, alpha, gamma, transient))
+            e_k = d_k - float(w.dot(x_k))
             if mu is None:
-                count = _push_flag(flags, count, updated)
-        held.append(w)
+                update = abs(e_k) > gamma
+                mu_k = 1.0 - gamma / abs(e_k) if update else 0.0
+                if len(flags) == window:
+                    count -= flags.popleft()
+                flags.append(update)
+                count += update
+            else:
+                update, mu_k = True, mu
+            at.append(len(held) - 1)
+            if update and e_k != 0.0:
+                if alpha == 0.0:
+                    raise NumericInputError(ZERO_ENERGY)
+                w = w + (mu_k / alpha) * e_k * x_k
+                held.append(w)
+            es.append(e_k)
+            ups.append(update)
+            mus.append(mu_k)
+            transients.append(transient)
+        at.append(len(held) - 1)
+        at = np.array(at)
         deviation = w_star - np.array(held)
-        energy = np.einsum("ij,ij->i", deviation, deviation)
-        e_tilde[rows] = np.einsum("ij,ij->i", deviation[:-1], regressors[rows])
-        before[rows], after[rows] = energy[:-1], energy[1:]
-        flat = np.fromiter(chain.from_iterable(block), float, 6 * len(block))
-        steps[:, rows] = flat.reshape(-1, 6).T
-    e, updated, mu_bar, alpha, gamma_used, in_transient = steps
+        energy = np.einsum("ij,ij->i", deviation, deviation)[at]
+        e_tilde[span] = np.einsum("ij,ij->i", deviation[at[:-1]], regressors[span])
+        before[span], after[span] = energy[:-1], energy[1:]
+        e[span], updated[span], mu_bar[span], in_transient[span] = es, ups, mus, transients
     return Ledger(
-        np.arange(size), e, e_tilde, np.array(noise, dtype=np.float64), updated != 0.0,
-        mu_bar, alpha, gamma_used, before, after, in_transient != 0.0,
+        np.arange(size), e, e_tilde, np.array(noise, dtype=np.float64), updated,
+        mu_bar, alphas, np.where(in_transient, gammas[1], gammas[0]), before, after, in_transient,
     )
 
 

@@ -8,7 +8,9 @@ documented streaming loop (``push_sample``, ``ds_vnlms_step`` or
 """
 
 import dataclasses
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from dsvolterra import (
     total_dimension,
     vnlms_step,
 )
-from dsvolterra import harness
+from dsvolterra import filters, harness
 from dsvolterra.robustness import run_ledger
 from dsvolterra.volterra import ROW_BLOCK
 
@@ -193,3 +195,86 @@ def test_streaming_detector_takes_the_policy_window(window):
     )
     assert engine == streamed
     assert {transient for _, transient, _ in streamed} == {True, False}
+
+
+def test_zero_energy_update_with_zero_delta_rejected(monkeypatch):
+    # the engine twin of the streaming step's test: zero input, Gaussian noise
+    # and no regularization, so the first VNLMS step moves with alpha = 0
+    monkeypatch.setattr(harness, "generate_input", lambda spec, length: np.zeros(length))
+    volterra = VolterraConfig(2, 3, regularization=0.0)
+    config = dataclasses.replace(
+        _config("fig5"),
+        volterra=volterra,
+        algorithms=(harness.AlgorithmSpec("vnlms", "vnlms", mu=0.5),),
+    )
+    with pytest.raises(NumericInputError) as streamed:
+        vnlms_step(FilterState(volterra), 1.0, 0.5)
+    with pytest.raises(NumericInputError) as engine:
+        harness.run_trial(config, 1)
+    assert str(engine.value) == str(streamed.value)
+
+
+@pytest.mark.parametrize("name, label", [("fig1a", "ds_fixed"), ("fig5", "vnlms_mu08")])
+def test_engine_working_memory_is_about_one_matrix(name, label):
+    # beyond its row-major copy of X the engine holds the ledger's columns
+    # (0.30 X at 34 terms) and one block of estimates: 1.27-1.32 X traced.
+    # Its per-row lists kept for the whole run instead of one block read 1.50-1.53 X
+    config = dataclasses.replace(harness.preset(name), iterations=20_000)
+    algorithm = next(a for a in config.algorithms if a.label == label)
+    law = algorithm.policy if algorithm.kind == "ds_vnlms" else algorithm.mu
+    _, regressors, n, w_star, d = harness._realization(config, 1)
+    tracemalloc.start()
+    try:
+        run_ledger(regressors, d, n, w_star, config.volterra.regularization, law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * regressors.nbytes, (peak, regressors.nbytes)
+
+
+def _mutant_update(w, x, desired, delta, gamma, mu, *, gate=1.0, weight=1.0, norm=1.0):
+    """``filters._update`` with one fault: the gate, the step weight or the
+    normalization of the step scaled; the reported fields stay as computed."""
+    e = desired - float(w.dot(x))
+    alpha = float(x.dot(x)) + delta
+    if mu is None:
+        updated = abs(e) > gate * gamma
+        mu_bar = 1.0 - gamma / abs(e) if updated else 0.0
+    else:
+        updated, mu_bar = True, mu
+    if updated and e != 0.0:
+        w = w + (weight * mu_bar / (norm * alpha)) * e * x
+    return w, e, updated, mu_bar, alpha
+
+
+def _disagreements(config, seed):
+    """The (variant, field) pairs where the engine and the streaming oracle
+    disagree on one realization: exactly for ``EXACT``, beyond ``REL_TOL``
+    for ``CLOSE``."""
+    x, _, n, w_star, d = harness._realization(config, seed)
+    engine = harness.run_trial(config, seed)
+    found = []
+    for algorithm in config.algorithms:
+        got, want = engine[algorithm.label], _streaming(config, algorithm, x, d, n, w_star)
+        for field in EXACT + CLOSE:
+            a, b = _column(got, field), _column(want, field)
+            same = (
+                np.array_equal(a, b)
+                if field in EXACT
+                else np.all(np.abs(a - b) <= REL_TOL * np.maximum(1.0, np.abs(b)))
+            )
+            if not same:
+                found.append((algorithm.label, field))
+    return found
+
+
+@pytest.mark.parametrize(
+    "fault", [{"gate": 0.95}, {"weight": 0.8}, {"norm": 1.25}], ids=lambda f: "-".join(f)
+)
+def test_reference_mutant_breaks_the_engine_comparison(monkeypatch, fault):
+    # the engine writes the law out itself, so the exact comparison is a check
+    # of it: a fault in the streaming law must make the two paths disagree
+    config = _config("fig5")
+    assert _disagreements(config, 1) == []
+    monkeypatch.setattr(filters, "_update", functools.partial(_mutant_update, **fault))
+    assert _disagreements(config, 1) != []
