@@ -174,7 +174,15 @@ def benchmark_channel() -> Channel:
 def desired_signal(channel: Channel, input_signal, noise) -> ArrayF:
     """d(k): channel response to the zero-primed input plus measurement noise,
     formed one block of ``ROW_BLOCK`` regressor rows at a time, never the
-    whole regressor matrix."""
+    whole regressor matrix.
+
+    A block forms only the monomials the kernel's nonzero terms read, with the
+    prefixes their product chains pass through; every other column is zero.
+    The product stays full-width, so d equals the full expansion's
+    ``block @ kernel`` bit for bit whenever that expansion is finite.  Where
+    only zero-weight monomials are not finite, from an overflow or a
+    non-finite input sample, d is finite and the full product would be NaN;
+    the trial engine rejects any regressor that is not finite."""
     x = np.asarray(input_signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if x.ndim != 1 or x.shape != n.shape:
@@ -182,7 +190,8 @@ def desired_signal(channel: Channel, input_signal, noise) -> ArrayF:
             f"input {x.shape} and noise {n.shape} must be equal-length vectors"
         )
     d = np.empty(x.shape[0])
-    for rows, block in _series_blocks(x, channel.config):
+    support = np.flatnonzero(channel.kernel)
+    for rows, block in _series_blocks(x, channel.config, support):
         d[rows] = block @ channel.kernel
     d += n
     return d

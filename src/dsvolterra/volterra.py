@@ -188,26 +188,71 @@ def expand(delay_line, config: VolterraConfig) -> ArrayF:
     return _chain(dl[lasts], chains)
 
 
-def _series_blocks(x: ArrayF, config: VolterraConfig):
+def _support_tables(support, lasts: np.ndarray, chains):
+    """Columns needed to form the terms at flat positions ``support``: those
+    terms and the lower-order prefixes their product chains pass through.
+    Returns the columns with the expansion tables renumbered over them, or
+    ``None`` when that is every column."""
+    formed = np.zeros(lasts.shape[0], dtype=bool)
+    formed[support] = True
+    # a prefix lies in a lower block, so one pass from the top order down
+    # closes the set
+    for block, prefix in reversed(chains):
+        formed[prefix[formed[block]]] = True
+    if formed.all():
+        return None
+    rank = np.cumsum(formed) - 1
+    sub_chains = []
+    for block, prefix in chains:
+        kept = formed[block]
+        if kept.any():
+            start = int(rank[block][kept][0])
+            sub_chains.append((slice(start, start + int(kept.sum())), rank[prefix[kept]]))
+    columns = np.flatnonzero(formed)
+    return columns, lasts[columns], tuple(sub_chains)
+
+
+def _series_blocks(x: ArrayF, config: VolterraConfig, support=None):
     """Yield ``(rows, block)``, ``ROW_BLOCK`` rows at a time, for a 1-D float64
     signal with a zero-primed delay line: ``block`` holds regressor rows ``rows``
     column-major, bit for bit as :func:`expand` gives them, in one buffer reused
     for every block.  Callers that multiply blocks by a kernel share rounding
     through this layout: BLAS can round a product on a final block of 1-3 rows
-    differently from one on the same rows inside a taller matrix."""
+    differently from one on the same rows inside a taller matrix.
+
+    Given ``support``, the flat positions of a kernel's nonzero terms, only
+    those columns and the prefixes their product chains pass through are
+    formed, by the same chain, so each holds the same bits; every other column
+    of a block is zero.  A block times that kernel keeps every bit of the full
+    product, since a zero weight times a finite entry adds an exact zero in any
+    summation order."""
     _, _, (lasts, chains) = _layout(config.order, config.memory)
     size, dimension = x.shape[0], lasts.shape[0]
+    tables = None if support is None else _support_tables(support, lasts, chains)
     # row i of the lag matrix is x delayed by i: column k is the delay line
     # [x(k), ..., x(k-N)] after sample k
     padded = np.concatenate([np.zeros(config.memory), x])
     lags = sliding_window_view(padded, size)[::-1]
-    buffer = np.empty(dimension * min(ROW_BLOCK, size))
+    if tables is None:
+        buffer = np.empty(dimension * min(ROW_BLOCK, size))
+    else:
+        columns, lasts, chains = tables
+        buffer = np.zeros(dimension * min(ROW_BLOCK, size))
     for r0 in range(0, size, ROW_BLOCK):
         rows = slice(r0, min(r0 + ROW_BLOCK, size))
-        products = buffer[: dimension * (rows.stop - r0)].reshape(dimension, -1)
-        # mode "raise" would gather into a temporary and copy it over
-        np.take(lags[:, rows], lasts, axis=0, out=products, mode="clip")
-        yield rows, _chain(products, chains).T
+        count = rows.stop - r0
+        products = buffer[: dimension * count].reshape(dimension, count)
+        if tables is None:
+            # mode "raise" would gather into a temporary and copy it over
+            np.take(lags[:, rows], lasts, axis=0, out=products, mode="clip")
+            _chain(products, chains)
+        else:
+            if count < ROW_BLOCK:
+                # a short final block's shape re-maps earlier blocks' entries
+                # into its unformed columns
+                products.fill(0.0)
+            products[columns] = _chain(np.take(lags[:, rows], lasts, axis=0), chains)
+        yield rows, products.T
 
 
 def expand_series(signal, config: VolterraConfig) -> ArrayF:

@@ -18,6 +18,7 @@ from dsvolterra.robustness import (
     prefix_ratios,
     read_trace_csv,
     summarize_run,
+    verify_trace,
     write_trace_csv,
 )
 
@@ -127,6 +128,16 @@ class TestRun:
         path = tmp_path / "fig1a.json"
         path.write_text(json.dumps(config))
         assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_OK
+
+    def test_verdict_line_marks_a_missing_value_na(self, tmp_path, capsys):
+        # a VNLMS variant has no threshold, so no Gaussian-tail bound
+        config = dict(SMALL_CONFIG, algorithms=[{"label": "nlms", "kind": "vnlms", "mu": 0.5}])
+        path = tmp_path / "vnlms.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if "variant=" in line]
+        assert "variant=nlms" in line
+        assert " erfc_bound=na " in f"{line} "
 
     def test_quiet(self, small_config_path, tmp_path, capsys):
         assert (
@@ -320,6 +331,23 @@ class TestCheck:
             f"error: {trace}:1: trace has the lhs,rhs columns of an older format;"
             " re-run its config.json\n"
         )
+
+    def test_violations_past_twenty_are_counted(self, small_config_path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        trace = out_dir / "trial_000" / "ds" / "trace.csv"
+        records = read_trace_csv(trace)
+        # e moved off e_tilde + n on every row: one violation at least per row
+        write_trace_csv([dataclasses.replace(r, e=r.e + 1.0) for r in records], trace)
+        problems = verify_trace(read_trace_csv(trace))
+        assert len(problems) > 20
+        assert main(["check", str(trace)]) == EXIT_VERIFICATION
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:20] == problems[:20]
+        assert lines[20:] == [
+            f"... and {len(problems) - 20} more",
+            f"FAIL: {len(problems)} violations in {trace}",
+        ]
 
     def test_header_only_trace_fails(self, tmp_path, capsys):
         # negative control: a trace without rows certifies nothing

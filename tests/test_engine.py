@@ -21,6 +21,7 @@ from dsvolterra import (
     NoiseSpec,
     NumericInputError,
     SignalSpec,
+    TermIndex,
     ThresholdPolicy,
     VolterraConfig,
     benchmark_channel,
@@ -30,6 +31,7 @@ from dsvolterra import (
     expand_series,
     generate_input,
     generate_noise,
+    position_of,
     push_sample,
     record_iteration,
     total_dimension,
@@ -150,22 +152,58 @@ def test_non_finite_input_rejected(signal):
         harness._run_variants(config, regressors, inputs["d"], n, w_star)
 
 
+def test_overflowing_regressor_rejected():
+    # the engine twin of the streaming step's test: inputs near 1e120 overflow
+    # the cubic monomials of the trial's regressor matrix, and numpy warns of
+    # the overflow and of the NaN that d then holds
+    config = dataclasses.replace(
+        _config("fig5"),
+        input=SignalSpec("white_gaussian", variance=1e240),
+        volterra=VolterraConfig(3, 3),
+    )
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericInputError, match="regressor contains non-finite"):
+            harness.run_trial(config, 1)
+
+
+def _sparse_kernel(volterra, seed):
+    """A random kernel on about a tenth of the layout's terms, with an order-3
+    term whose order-2 prefix has zero weight: a column that is formed but
+    not weighted, next to unformed ones."""
+    rng = np.random.default_rng(seed)
+    kernel = rng.normal(size=total_dimension(volterra))
+    kernel[rng.random(kernel.shape[0]) > 0.1] = 0.0
+    kernel[position_of(TermIndex(3, (0, 1, 2)), volterra)] = 1.5
+    kernel[position_of(TermIndex(2, (0, 1)), volterra)] = 0.0
+    return kernel
+
+
 def test_desired_signal_is_the_channel_response():
     # block edges and final blocks of 1-3 rows, in two layouts, for the
-    # benchmark channel and for one with every term of the layout
-    for iterations, layout, dense in itertools.product(
-        (1, 3, 511, 512, 513, 514, 515, 1027, ITERATIONS), ((3, 3), (3, 8)), (False, True)
+    # benchmark channel, one with every term of the layout, a random sparse
+    # kernel and an all-zero one
+    for iterations, layout, kind in itertools.product(
+        (1, 3, 511, 512, 513, 514, 515, 1027, ITERATIONS),
+        ((3, 3), (3, 8)),
+        ("benchmark", "dense", "sparse", "zero"),
     ):
-        case = (iterations, layout, dense)
+        case = (iterations, layout, kind)
         volterra = VolterraConfig(*layout)
         config = dataclasses.replace(_config("fig1a"), iterations=iterations, volterra=volterra)
-        if dense:
-            kernel = np.random.default_rng(iterations).normal(size=total_dimension(volterra))
-            config = dataclasses.replace(config, channel=Channel(kernel, volterra))
+        kernels = {
+            "dense": np.random.default_rng(iterations).normal(size=total_dimension(volterra)),
+            "sparse": _sparse_kernel(volterra, iterations),
+            "zero": np.zeros(total_dimension(volterra)),
+        }
+        if kind in kernels:
+            config = dataclasses.replace(config, channel=Channel(kernels[kind], volterra))
         x, regressors, n, w_star, d = harness._realization(config, 1)
         channel = Channel(w_star, config.volterra)
         assert np.array_equal(regressors, expand_series(x, config.volterra)), case
-        assert np.array_equal(d, desired_signal(channel, x, n)), case
+        response = desired_signal(channel, x, n)
+        assert np.array_equal(d, response), case
+        # bit for bit, signs of zero included
+        assert d.tobytes() == response.tobytes(), case
         # the whole matrix in one product is only close: BLAS can round a final
         # block of 1-3 rows differently from the same rows inside a taller matrix
         one_shot = regressors @ w_star + n

@@ -101,6 +101,18 @@ class TestDsStep:
         assert state.k == k_before
         assert len(state.update_flags) == 0
 
+    def test_overflowing_regressor_rejected_without_state_change(self):
+        # 1e120 cubed overflows; numpy warns first, and the step then refuses
+        # the regressor rather than update on it
+        state = FilterState(VolterraConfig(3, 1))
+        push_sample(state, 1e120)
+        w_ref = state.w
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericInputError, match="regressor contains non-finite"):
+                ds_vnlms_step(state, 0.0, ThresholdPolicy.fixed(0.5))
+        assert state.w is w_ref
+        assert state.k == 0
+
     def test_zero_energy_update_with_zero_delta_rejected(self):
         state = fresh_state()  # delay line all zeros, delta = 0
         with pytest.raises(NumericInputError):

@@ -225,6 +225,12 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match="missing"):
             config_from_dict(payload)
 
+    def test_schema_version_required(self):
+        payload = config_to_dict(small_config())
+        del payload["schema_version"]
+        with pytest.raises(ConfigError, match=r"^config: missing \['schema_version'\]$"):
+            config_from_dict(payload)
+
     def test_schema_version_checked(self):
         payload = config_to_dict(small_config())
         payload["schema_version"] = 99
@@ -272,6 +278,12 @@ class TestConfigSerialization:
     def test_benchmark_channel_token_preserved(self):
         cfg = preset("fig1a")
         assert config_to_dict(cfg)["channel"] == "benchmark"
+
+    def test_integer_beyond_float_is_out_of_range(self):
+        payload = config_to_dict(small_config())
+        payload["noise"]["variance"] = 10**400
+        with pytest.raises(ConfigError, match=r"^config\.noise\.variance: 10+ is out of range$"):
+            config_from_dict(payload)
 
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -34,6 +34,7 @@ from dsvolterra import (
     write_trace_csv,
 )
 from dsvolterra import harness
+from dsvolterra.errors import DimensionMismatchError
 from dsvolterra.filters import StepOutcome
 from dsvolterra.robustness import (
     EQUALITY_RTOL,
@@ -233,6 +234,14 @@ class TestRecordIterationEnergies:
         assert verify_trace([record]) == [
             "row k=0: local energy inequality violated (lhs=0.75, rhs=inf)"
         ]
+
+    def test_kernel_shape_mismatch_rejected(self):
+        outcome = StepOutcome(
+            k=0, e=1.0, updated=True, mu_bar=0.5, alpha=1.0, gamma_used=0.5,
+            in_transient=True, regressor=np.array([1.0, 0.0]),
+        )
+        with pytest.raises(DimensionMismatchError, match="kernel shapes differ"):
+            record_iteration(np.zeros(3), np.zeros(2), np.zeros(2), outcome, 0.0)
 
     def test_lhs_and_rhs_follow_the_column_rule_bit_for_bit(self):
         ledger = Ledger.of(random_run(seed=3))
@@ -808,6 +817,7 @@ class TestLedger:
         with pytest.raises(IndexError):
             ledger[PRESET_ITERATIONS]
         assert ledger != dataclasses.replace(ledger, wtilde_sq_after=ledger.wtilde_sq_after + 1.0)
+        assert ledger != rows and ledger.__eq__(rows) is NotImplemented
 
     def test_engine_rows_and_oracle_give_equal_verdicts(self, preset_runs):
         for where, (ledger, oracle) in preset_runs.items():

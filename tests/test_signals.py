@@ -15,6 +15,7 @@ from dsvolterra import (
     benchmark_channel,
     desired_signal,
     expand,
+    expand_series,
     generate_input,
     generate_noise,
     position_of,
@@ -121,6 +122,10 @@ class TestGenerateNoise:
         spec = NoiseSpec("uniform_bounded", bound=0.1, seed=8)
         np.testing.assert_array_equal(generate_noise(spec, 500), generate_noise(spec, 500))
 
+    def test_length_validated(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            generate_noise(NoiseSpec("gaussian"), 0)
+
 
 class TestBenchmarkChannel:
     def test_four_nonzero_terms(self):
@@ -146,6 +151,12 @@ class TestBenchmarkChannel:
         assert ch.kernel @ expand([0.0, 0.0, 0.0, 1.0], ch.config) == pytest.approx(
             -0.5, rel=1e-12
         )
+
+    def test_equality_with_another_type_is_false(self):
+        ch = benchmark_channel()
+        assert ch == benchmark_channel()
+        assert ch != "benchmark"
+        assert ch.__eq__(ch.config) is NotImplemented
 
     def test_channel_kernel_dimension_validated(self):
         with pytest.raises(DimensionMismatchError):
@@ -183,6 +194,28 @@ class TestDesiredSignal:
         ch = benchmark_channel()
         with pytest.raises(DimensionMismatchError):
             desired_signal(ch, np.zeros(5), np.zeros(6))
+
+    def test_an_unweighted_overflow_stays_out_of_d(self):
+        # only x(k)^3 is weighted, and x(1000) = 1e200 overflows every
+        # monomial that holds it twice or more, on rows 1000-1003.  Of those
+        # only x(k)^2 and x(k)^3 on row 1000 are formed, so d is finite on rows
+        # 1001-1003, where the full product is NaN.  The final block of 300
+        # rows would read row 1000's infinities in unformed columns if its
+        # buffer kept them
+        cfg = VolterraConfig(3, 3)
+        kernel = np.zeros(total_dimension(cfg))
+        kernel[position_of(TermIndex(3, (0, 0, 0)), cfg)] = 0.5
+        x = np.random.default_rng(9).normal(size=1324)
+        x[1000] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = desired_signal(Channel(kernel, cfg), x, np.zeros(1324))
+            full = expand_series(x, cfg)
+            reference = np.concatenate([full[r : r + 512] @ kernel for r in (0, 512, 1024)])
+        assert np.isnan(d[1000])
+        finite = np.isfinite(full).all(axis=1)
+        assert d[~finite].tobytes() != reference[~finite].tobytes()
+        assert np.isfinite(np.delete(d, 1000)).all()
+        assert d[finite].tobytes() == reference[finite].tobytes()
 
     def test_working_memory_is_one_block(self):
         # the response is formed one block of regressor rows at a time;

@@ -21,6 +21,7 @@ from dsvolterra import (
     total_dimension,
 )
 from dsvolterra.errors import DimensionMismatchError, InvalidTermError
+from dsvolterra.volterra import _series_blocks
 
 
 class TestConfig:
@@ -245,6 +246,23 @@ class TestExpandSeries:
     def test_rejects_matrix_input(self):
         with pytest.raises(DimensionMismatchError):
             expand_series(np.zeros((3, 3)), VolterraConfig(1, 1))
+
+
+class TestSupportBlocks:
+    # one short block alone, and final blocks of 3 and of 300 rows after two
+    # full ones
+    @pytest.mark.parametrize("size", [40, 1027, 1324])
+    def test_only_the_support_and_its_prefixes_are_formed(self, size):
+        cfg = VolterraConfig(3, 3)
+        x = np.random.default_rng(size).normal(size=size)
+        support = [position_of(TermIndex(*term), cfg) for term in ((3, (0, 1, 3)), (2, (2, 2)))]
+        prefixes = [TermIndex(1, (0,)), TermIndex(2, (0, 1)), TermIndex(1, (2,))]
+        formed = sorted(support + [position_of(term, cfg) for term in prefixes])
+        unformed = np.setdiff1d(np.arange(total_dimension(cfg)), formed)
+        full = expand_series(x, cfg)
+        for rows, block in _series_blocks(x, cfg, np.array(support)):
+            np.testing.assert_array_equal(block[:, formed], full[rows][:, formed])
+            assert not block[:, unformed].any()
 
 
 class TestPredict:
