@@ -31,14 +31,15 @@ from .signals import (
     NoiseSpec,
     SignalSpec,
     benchmark_channel,
+    desired_signal,
     generate_input,
     generate_noise,
 )
 from .volterra import (
     TermIndex,
     VolterraConfig,
-    _series_blocks,
     embed_kernel,
+    expand_series,
     position_of,
     term_at,
     total_dimension,
@@ -144,20 +145,14 @@ def _derive_seed(trial_seed: int, stream: int) -> int:
 def _realization(config: ExperimentConfig, trial_seed: int):
     """One trial's input x, its regressor matrix X in the filter layout, noise
     n, true kernels w* in the filter layout and desired signal d = X w* + n,
-    filled from the row blocks :func:`signals.desired_signal` multiplies, so
-    d is its channel response bit for bit."""
+    the channel response of :func:`signals.desired_signal`."""
     input_spec = dataclasses.replace(config.input, seed=_derive_seed(trial_seed, 0))
     noise_spec = dataclasses.replace(config.noise, seed=_derive_seed(trial_seed, 1))
     x = generate_input(input_spec, config.iterations)
     n = generate_noise(noise_spec, config.iterations)
     w_star = embed_kernel(config.channel.kernel, config.channel.config, config.volterra)
-    regressors = np.empty((x.shape[0], w_star.shape[0]), order="F")
-    d = np.empty(x.shape[0])
-    for rows, block in _series_blocks(x, config.volterra):
-        regressors[rows] = block
-        d[rows] = block @ w_star
-    d += n
-    return x, regressors, n, w_star, d
+    d = desired_signal(Channel(w_star, config.volterra), x, n)
+    return x, expand_series(x, config.volterra), n, w_star, d
 
 
 def _run_variants(

@@ -218,9 +218,11 @@ def run_ledger(
     policy) or :func:`filters.vnlms_step` (``law`` a step size) take on the
     same rows, and the rows :func:`record_iteration` gives for them.
 
-    The row loop writes the update law and the transient detector out
-    inline: its only numpy calls per row are ``w.dot(x)`` and, on updates,
-    the step, and alpha comes from one ``np.vecdot`` over the run.  The
+    The rows are stepped on as given, the row-major matrix of
+    :func:`volterra.expand_series`, and e~ is read off the same rows.  The
+    row loop writes the update law and the transient detector out inline:
+    its only numpy calls per row are ``w.dot(x)`` and, on updates, the
+    step, and alpha comes from one ``np.vecdot`` over the run.  The
     streaming functions stay the reference it is tested against.  A policy's
     detector keeps its flag window and count as the streaming step does; a
     step size runs no detector, every step is transient.  Per block of
@@ -237,10 +239,7 @@ def run_ledger(
     flags, count, transient = deque(), 0, True
     d = np.asarray(desired, dtype=np.float64)
     size = len(d)
-    # rows of a row-major copy are contiguous, like the vector the streaming
-    # path expands: there vecdot and x.dot(x) run the same float64 dot loop,
-    # while on the strided rows of a column-major matrix BLAS can round
-    # differently
+    # a no-op on expand_series' matrix: alpha matches x.dot(x) only on contiguous rows
     x = np.ascontiguousarray(regressors)
     alphas = np.vecdot(x, x) + delta
     w = np.zeros(x.shape[1])
@@ -279,7 +278,7 @@ def run_ledger(
         at = np.array(at)
         deviation = w_star - np.array(held)
         energy = np.einsum("ij,ij->i", deviation, deviation)[at]
-        e_tilde[span] = np.einsum("ij,ij->i", deviation[at[:-1]], regressors[span])
+        e_tilde[span] = np.einsum("ij,ij->i", deviation[at[:-1]], x[span])
         before[span], after[span] = energy[:-1], energy[1:]
         e[span], updated[span], mu_bar[span], in_transient[span] = es, ups, mus, transients
     return Ledger(

@@ -8,7 +8,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericInputError
 from .volterra import (
     ROW_BLOCK,
     ArrayF,
@@ -180,15 +180,20 @@ def desired_signal(channel: Channel, input_signal, noise) -> ArrayF:
     prefixes their product chains pass through; every other column is zero.
     The product stays full-width, so d equals the full expansion's
     ``block @ kernel`` bit for bit whenever that expansion is finite.  Where
-    only zero-weight monomials are not finite, from an overflow or a
-    non-finite input sample, d is finite and the full product would be NaN;
-    the trial engine rejects any regressor that is not finite."""
+    only zero-weight monomials are not finite, from an overflow, d is finite
+    and the full product would be NaN; the trial engine rejects any regressor
+    that is not finite.  A non-finite input or noise sample is rejected."""
     x = np.asarray(input_signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if x.ndim != 1 or x.shape != n.shape:
         raise DimensionMismatchError(
             f"input {x.shape} and noise {n.shape} must be equal-length vectors"
         )
+    for name, values in (("input", x), ("noise", n)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise NumericInputError(f"{name} sample {k} must be finite, got {float(values[k])!r}")
     d = np.empty(x.shape[0])
     support = np.flatnonzero(channel.kernel)
     for rows, block in _series_blocks(x, channel.config, support):

@@ -189,18 +189,16 @@ def expand(delay_line, config: VolterraConfig) -> ArrayF:
 
 
 def _support_tables(support, lasts: np.ndarray, chains):
-    """Columns needed to form the terms at flat positions ``support``: those
-    terms and the lower-order prefixes their product chains pass through.
-    Returns the columns with the expansion tables renumbered over them, or
-    ``None`` when that is every column."""
+    """Columns needed to form the terms at flat positions ``support``, every
+    term when ``None``: those terms and the lower-order prefixes their product
+    chains pass through.  Returns the columns with the expansion tables
+    renumbered over them."""
     formed = np.zeros(lasts.shape[0], dtype=bool)
-    formed[support] = True
+    formed[slice(None) if support is None else support] = True
     # a prefix lies in a lower block, so one pass from the top order down
     # closes the set
     for block, prefix in reversed(chains):
         formed[prefix[formed[block]]] = True
-    if formed.all():
-        return None
     rank = np.cumsum(formed) - 1
     sub_chains = []
     for block, prefix in chains:
@@ -216,9 +214,9 @@ def _series_blocks(x: ArrayF, config: VolterraConfig, support=None):
     """Yield ``(rows, block)``, ``ROW_BLOCK`` rows at a time, for a 1-D float64
     signal with a zero-primed delay line: ``block`` holds regressor rows ``rows``
     column-major, bit for bit as :func:`expand` gives them, in one buffer reused
-    for every block.  Callers that multiply blocks by a kernel share rounding
-    through this layout: BLAS can round a product on a final block of 1-3 rows
-    differently from one on the same rows inside a taller matrix.
+    for every block.  :func:`expand_series` copies the blocks into its
+    row-major matrix; :func:`signals.desired_signal` multiplies them by a
+    kernel in this layout, which fixes the rounding of d.
 
     Given ``support``, the flat positions of a kernel's nonzero terms, only
     those columns and the prefixes their product chains pass through are
@@ -228,30 +226,21 @@ def _series_blocks(x: ArrayF, config: VolterraConfig, support=None):
     summation order."""
     _, _, (lasts, chains) = _layout(config.order, config.memory)
     size, dimension = x.shape[0], lasts.shape[0]
-    tables = None if support is None else _support_tables(support, lasts, chains)
+    columns, lasts, chains = _support_tables(support, lasts, chains)
     # row i of the lag matrix is x delayed by i: column k is the delay line
     # [x(k), ..., x(k-N)] after sample k
     padded = np.concatenate([np.zeros(config.memory), x])
     lags = sliding_window_view(padded, size)[::-1]
-    if tables is None:
-        buffer = np.empty(dimension * min(ROW_BLOCK, size))
-    else:
-        columns, lasts, chains = tables
-        buffer = np.zeros(dimension * min(ROW_BLOCK, size))
+    buffer = np.zeros(dimension * min(ROW_BLOCK, size))
     for r0 in range(0, size, ROW_BLOCK):
         rows = slice(r0, min(r0 + ROW_BLOCK, size))
         count = rows.stop - r0
         products = buffer[: dimension * count].reshape(dimension, count)
-        if tables is None:
-            # mode "raise" would gather into a temporary and copy it over
-            np.take(lags[:, rows], lasts, axis=0, out=products, mode="clip")
-            _chain(products, chains)
-        else:
-            if count < ROW_BLOCK:
-                # a short final block's shape re-maps earlier blocks' entries
-                # into its unformed columns
-                products.fill(0.0)
-            products[columns] = _chain(np.take(lags[:, rows], lasts, axis=0), chains)
+        if count < ROW_BLOCK:
+            # a short final block's shape re-maps earlier blocks' entries
+            # into its unformed columns
+            products.fill(0.0)
+        products[columns] = _chain(np.take(lags[:, rows], lasts, axis=0), chains)
         yield rows, products.T
 
 
@@ -261,13 +250,13 @@ def expand_series(signal, config: VolterraConfig) -> ArrayF:
     Row ``k`` equals :func:`expand` of the delay line after the samples
     ``signal[0..k]`` have been pushed, bit for bit: the same product chain
     runs on blocks of ``ROW_BLOCK`` rows, so the working memory beyond the
-    result is one block.  The result is column-major (Fortran order), the
-    layout of the blocks it is copied from.
+    result is one block.  The result is row-major (C order): each row is a
+    contiguous regressor, as the trial engine steps on it.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatchError("signal must be a 1-D vector")
-    out = np.empty((x.shape[0], total_dimension(config)), order="F")
+    out = np.empty((x.shape[0], total_dimension(config)))
     for rows, block in _series_blocks(x, config):
         out[rows] = block
     return out

@@ -21,7 +21,7 @@ from dsvolterra import (
     position_of,
     total_dimension,
 )
-from dsvolterra.errors import DimensionMismatchError
+from dsvolterra.errors import DimensionMismatchError, NumericInputError
 from dsvolterra.harness import load_kernel_file
 
 
@@ -194,6 +194,13 @@ class TestDesiredSignal:
         ch = benchmark_channel()
         with pytest.raises(DimensionMismatchError):
             desired_signal(ch, np.zeros(5), np.zeros(6))
+
+    @pytest.mark.parametrize("name, k, value", [("input", 3, np.nan), ("noise", 7, -np.inf)])
+    def test_non_finite_sample_rejected(self, name, k, value):
+        signals = {"input": np.random.default_rng(3).normal(size=10), "noise": np.zeros(10)}
+        signals[name][k] = value
+        with pytest.raises(NumericInputError, match=f"{name} sample {k} must be finite, got {value}"):
+            desired_signal(benchmark_channel(), signals["input"], signals["noise"])
 
     def test_an_unweighted_overflow_stays_out_of_d(self):
         # only x(k)^3 is weighted, and x(1000) = 1e200 overflows every

@@ -225,11 +225,11 @@ class TestExpandSeries:
             np.testing.assert_array_equal(matrix[k], expand(delay, cfg))
 
     @pytest.mark.parametrize("order, memory", [(1, 3), (2, 0), (3, 0), (3, 3), (3, 8)])
-    def test_matrix_is_column_major(self, order, memory):
-        # the ledger reads e~ off X with an einsum, which can round
-        # differently on a row-major matrix, so the layout fixes that column
+    def test_matrix_is_row_major(self, order, memory):
+        # the engine steps on X's rows as given, and its alpha equals the
+        # streaming x.dot(x) bit for bit only on contiguous rows
         x = np.random.default_rng(2).normal(size=700)
-        assert expand_series(x, VolterraConfig(order, memory)).flags.f_contiguous
+        assert expand_series(x, VolterraConfig(order, memory)).flags.c_contiguous
 
     def test_working_memory_stays_near_the_result(self):
         # the chain runs on row blocks, so the only large allocation is the
