@@ -287,37 +287,57 @@ def run_ledger(
     )
 
 
-def _local_ok(updated: np.ndarray, lhs: ArrayF, rhs: ArrayF) -> np.ndarray:
-    """The local energy certificate per row on its derived sides: lhs strictly
-    below rhs, with relative slack, on updates, and equal to ``EQUALITY_RTOL``,
-    relative above one, otherwise.  An overflowed rhs decides nothing, so it
-    fails; comparisons are written so that a NaN on either side fails."""
+def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
+    """Every per-row value the certificates are decided on, computed once for
+    :func:`summarize_run` and :func:`verify_trace`: the weighted energies, the
+    derived sides, the prefix ratios, and one mask per fault, True on the rows
+    that have it.  Comparisons are written so that a NaN fails them.
+
+    The local inequality holds strictly, with relative slack, on updates and
+    to ``EQUALITY_RTOL`` otherwise; an overflowed rhs fails it.  ``local_off``
+    marks every failing row, as the summary counts them; ``local_checked`` and
+    ``split_off`` leave out an update without a positive alpha, which has no
+    row arithmetic to check.  ``above_one`` marks each prefix after the first
+    update whose ratio is not below one with ``LOCAL_SLACK``."""
+    k, updated, e, e_tilde, n = ledger.k, ledger.updated, ledger.e, ledger.e_tilde, ledger.n
+    before, after = ledger.wtilde_sq_before, ledger.wtilde_sq_after
+    error_energy, noise_energy = energies = _weighted_energies(ledger)
+    lhs, rhs = _local_sides(ledger, energies)
+    alpha_bad = updated & ~(ledger.alpha > 0.0)
+    transient = ledger.in_transient if ledger.in_transient is not None else False
     with np.errstate(all="ignore"):
         strict = lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs)
         equal = abs(lhs - rhs) <= EQUALITY_RTOL * np.maximum(1.0, abs(rhs))
-        return np.isfinite(rhs) & np.where(updated, strict, equal)
+        local_off = ~(np.isfinite(rhs) & np.where(updated, strict, equal))
+        split = e_tilde + n
+        split_ok = abs(e - split) <= EQUALITY_RTOL * np.maximum(1.0, np.maximum(abs(e), abs(split)))
+        # running sums over updates; the one-element slices broadcast, and stay
+        # empty for an empty ledger
+        den = before[:1] + np.cumsum(noise_energy)
+        ratios = np.where(den == 0.0, np.nan, (after + np.cumsum(error_energy)) / den)
+        # conditional improvement: where an update's noiseless error dominates
+        # the noise, the deviation energy strictly decreases
+        unimproved = updated & ~(e_tilde * e_tilde < n * n) & ~(after < before)
+    increased = after > before
+    return dict(
+        error_energy=error_energy, noise_energy=noise_energy, lhs=lhs, rhs=rhs, ratios=ratios,
+        k_off=np.append(k[:1] != 0, k[1:] != k[:-1] + 1),
+        # exact: the engine and record_iteration carry the energy over
+        # unchanged, and the 17-digit CSV round-trips it
+        chain_broken=np.append(np.zeros_like(k[:1], bool), before[1:] != after[:-1]),
+        alpha_bad=alpha_bad, split_off=~split_ok & ~alpha_bad, local_off=local_off,
+        local_checked=local_off & ~alpha_bad, unimproved=unimproved,
+        increased=increased, increased_in_transient=increased & transient,
+        above_one=(np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK),
+    )
 
 
 def prefix_ratios(rows: Ledger | Sequence[IterationRecord]) -> ArrayF:
-    """Global error-to-disturbance ratio after every prefix K = 1..len(rows),
-    by running sums: the deviation energy after step K plus the weighted
-    noiseless-error energy, over the initial deviation energy plus the
-    weighted noise energy (both sums over updates only).
-
-    Prefixes whose disturbance energy is still zero yield NaN.
-    """
-    ledger = Ledger.of(rows)
-    return _prefix_ratios(ledger, _weighted_energies(ledger))
-
-
-def _prefix_ratios(ledger: Ledger, energies: tuple[ArrayF, ArrayF]) -> ArrayF:
-    """:func:`prefix_ratios` of a ledger, given its :func:`_weighted_energies`."""
-    error_energy, noise_energy = energies
-    with np.errstate(all="ignore"):
-        num = ledger.wtilde_sq_after + np.cumsum(error_energy)
-        # a one-element slice broadcasts, and stays empty for an empty ledger
-        den = ledger.wtilde_sq_before[:1] + np.cumsum(noise_energy)
-        return np.where(den == 0.0, np.nan, num / den)
+    """Global error-to-disturbance ratio after every prefix K = 1..len(rows):
+    the deviation energy after step K plus the weighted noiseless-error
+    energy, over the initial deviation energy plus the weighted noise energy,
+    both summed over updates.  NaN while the disturbance energy is zero."""
+    return _row_table(Ledger.of(rows))["ratios"]
 
 
 def erfc_bound(tau: float) -> float:
@@ -334,7 +354,7 @@ def summarize_run(
 ) -> RunVerdict:
     """Collapse a completed ledger, or its rows, into the flat per-run verdict.
 
-    Every count is taken over a whole column.  The global ratio is the last
+    Every count is one mask of the row table.  The global ratio is the last
     prefix ratio, the number :func:`verify_trace` tests against one: with no
     updates it collapses to the vacuous boundary value 1, and with zero
     disturbance energy it is NaN.
@@ -343,30 +363,21 @@ def summarize_run(
     total = len(ledger)
     if not total:
         raise ValueError("cannot summarize an empty ledger")
-    updated, e_tilde, n = ledger.updated, ledger.e_tilde, ledger.n
-    after, before = ledger.wtilde_sq_after, ledger.wtilde_sq_before
-    increased = after > before
-    transient = ledger.in_transient if ledger.in_transient is not None else False
-    # conditional improvement: where an update's noiseless error dominates
-    # the noise, the deviation energy strictly decreases
-    with np.errstate(all="ignore"):
-        improved = ~updated | (e_tilde * e_tilde < n * n) | (after < before)
-    updates, increases = int(np.count_nonzero(updated)), int(np.count_nonzero(increased))
-    energies = _weighted_energies(ledger)
-    local_ok = _local_ok(updated, *_local_sides(ledger, energies))
+    table = _row_table(ledger)
+    updates, increases = (int(np.count_nonzero(m)) for m in (ledger.updated, table["increased"]))
     return RunVerdict(
         total_iterations=total,
         update_count=updates,
         update_rate=updates / total,
-        local_violations=int(np.count_nonzero(~local_ok)),
-        conditional_violations=int(np.count_nonzero(~improved)),
-        global_ratio=_prefix_ratios(ledger, energies)[-1].item(),
+        local_violations=int(np.count_nonzero(table["local_off"])),
+        conditional_violations=int(np.count_nonzero(table["unimproved"])),
+        global_ratio=table["ratios"][-1].item(),
         increase_count=increases,
         increase_fraction=increases / total,
-        increases_in_transient=int(np.count_nonzero(increased & transient)),
+        increases_in_transient=int(np.count_nonzero(table["increased_in_transient"])),
         erfc_bound=erfc_bound(tau_for_bound) if tau_for_bound is not None else None,
-        wtilde_sq_initial=before[0].item(),
-        wtilde_sq_final=after[-1].item(),
+        wtilde_sq_initial=ledger.wtilde_sq_before[0].item(),
+        wtilde_sq_final=ledger.wtilde_sq_after[-1].item(),
     )
 
 
@@ -459,49 +470,36 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     """Re-check a ledger: at least one row, rows numbered k = 0..K-1, each
     row's deviation energy before equal to the previous row's after, the
     error decomposition, the local certificate on each row's derived sides,
-    and the prefix ratio wherever at least one update has happened (an
+    conditional improvement on each update whose noiseless error dominates its
+    noise, and the prefix ratio wherever at least one update has happened (an
     undefined ratio there is a violation).  Any NaN field fails its checks.
     Returns violation messages, row by row; empty means the trace certifies."""
     ledger = Ledger.of(rows)
     if not len(ledger):
         return ["trace has no rows"]
-    k, updated, e, e_tilde, n = ledger.k, ledger.updated, ledger.e, ledger.e_tilde, ledger.n
-    before, after = ledger.wtilde_sq_before, ledger.wtilde_sq_after
-    k_off = np.append(k[0] != 0, k[1:] != k[:-1] + 1)
-    # exact: the engine and record_iteration carry the energy over unchanged,
-    # and the 17-digit CSV round-trips it
-    chain_broken = np.append(False, ~(before[1:] == after[:-1]))
-    alpha_bad = updated & ~(ledger.alpha > 0.0)
-    energies = _weighted_energies(ledger)
-    lhs, rhs = _local_sides(ledger, energies)
-    with np.errstate(all="ignore"):
-        split = e_tilde + n
-        # written as "not <=" so that a NaN anywhere counts as a mismatch
-        scale = np.maximum(1.0, np.maximum(abs(e), abs(split)))
-        split_off = ~(abs(e - split) <= EQUALITY_RTOL * scale)
-    # each row check and its message, in the order a row reports them; an
-    # update without a positive alpha has no row arithmetic to check
+    table = _row_table(ledger)
+    k, after, lhs, rhs = ledger.k, ledger.wtilde_sq_after, table["lhs"], table["rhs"]
+    # each row check and its message, in the order a row reports them
     checks = (
-        (k_off, "expected k={expected}, rows must run k = 0..K-1"),
-        (chain_broken, "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
+        ("k_off", "expected k={expected}, rows must run k = 0..K-1"),
+        ("chain_broken", "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
          " wtilde_sq_after={previous!r}"),
-        (alpha_bad, "update with alpha={r.alpha!r}, not positive"),
-        (split_off & ~alpha_bad, "error decomposition e != e_tilde + n"),
-        (~_local_ok(updated, lhs, rhs) & ~alpha_bad,
-         "local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"),
+        ("alpha_bad", "update with alpha={r.alpha!r}, not positive"),
+        ("split_off", "error decomposition e != e_tilde + n"),
+        ("local_checked", "local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"),
+        ("unimproved", "conditional improvement violated (e_tilde^2 >= n^2, wtilde_sq_after="
+         "{r.wtilde_sq_after!r} not below wtilde_sq_before={r.wtilde_sq_before!r})"),
     )
     problems: list[str] = []
-    for i in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)).tolist():
-        r, previous = ledger[i], after[i - 1].item()
-        expected = int(k[i - 1]) + 1 if i else 0
-        sides = {"lhs": lhs[i].item(), "rhs": rhs[i].item()}
+    for i in np.flatnonzero(np.any([table[name] for name, _ in checks], axis=0)).tolist():
+        r, expected = ledger[i], (int(k[i - 1]) + 1 if i else 0)
+        values = {"previous": after[i - 1].item(), "lhs": lhs[i].item(), "rhs": rhs[i].item()}
         problems += (
-            f"row k={r.k}: " + message.format(r=r, expected=expected, previous=previous, **sides)
-            for mask, message in checks
-            if mask[i]
+            f"row k={r.k}: " + message.format(r=r, expected=expected, **values)
+            for name, message in checks
+            if table[name][i]
         )
-    ratios = _prefix_ratios(ledger, energies)
-    above_one = (np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK)
-    for i in np.flatnonzero(above_one).tolist():
-        problems.append(f"prefix K={i + 1}: global ratio {ratios[i].item()!r} not below one")
+    ratios = table["ratios"]
+    problems += (f"prefix K={i + 1}: global ratio {ratios[i].item()!r} not below one"
+                 for i in np.flatnonzero(table["above_one"]).tolist())
     return problems

@@ -349,6 +349,23 @@ class TestCheck:
             f"FAIL: {len(problems)} violations in {trace}",
         ]
 
+    def test_update_without_improvement_fails(self, tmp_path, capsys):
+        # fig1a's update k=173 (e_tilde^2 >= n^2) made a no-op that keeps the
+        # local inequality and the energy chain: only conditional improvement fails
+        out_dir = tmp_path / "out"
+        argv = ["run", "fig1a", "--trials", "1", "--seed", "1", "--out", str(out_dir), "--quiet"]
+        assert main(argv) == EXIT_OK
+        trace = out_dir / "trial_000" / "ds_fixed" / "trace.csv"
+        records = list(read_trace_csv(trace))
+        r = records[173]
+        records[173] = dataclasses.replace(r, mu_bar=0.0, wtilde_sq_after=r.wtilde_sq_before)
+        records[174] = dataclasses.replace(records[174], wtilde_sq_before=r.wtilde_sq_before)
+        write_trace_csv(records, trace)
+        assert main(["check", str(trace)]) == EXIT_VERIFICATION
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("row k=173: conditional improvement violated (")
+        assert err[1:] == [f"FAIL: 1 violations in {trace}"]
+
     def test_header_only_trace_fails(self, tmp_path, capsys):
         # negative control: a trace without rows certifies nothing
         trace = tmp_path / "trace.csv"

@@ -276,6 +276,30 @@ class TestConditionalImprovement:
         )
         assert verdict.conditional_violations == 1
 
+    def test_no_op_update_that_passes_the_local_check_is_reported(self):
+        # fig1a at seed 1 with update k=173 (e_tilde^2 >= n^2) turned into a
+        # no-op: mu_bar 0 keeps the local inequality (lhs = rhs = before) and
+        # the chain is carried on, so only conditional improvement fails
+        rows = row_173_control()
+        r = rows[173]
+        assert summarize_run(rows).conditional_violations == 1
+        assert verify_trace(rows) == [
+            f"row k=173: conditional improvement violated (e_tilde^2 >= n^2,"
+            f" wtilde_sq_after={r.wtilde_sq_after!r} not below"
+            f" wtilde_sq_before={r.wtilde_sq_before!r})"
+        ]
+
+
+def row_173_control():
+    """The rows of fig1a's ledger at seed 1 with update k=173 made a no-op."""
+    (ledger,) = harness.run_trial(harness.preset("fig1a"), 1).values()
+    rows = list(ledger)
+    r = rows[173]
+    assert r.updated and r.e_tilde * r.e_tilde >= r.n * r.n
+    rows[173] = dataclasses.replace(r, mu_bar=0.0, wtilde_sq_after=r.wtilde_sq_before)
+    rows[174] = dataclasses.replace(rows[174], wtilde_sq_before=r.wtilde_sq_before)
+    return rows
+
 
 class TestGlobalRatio:
     def test_vacuous_run_sits_on_boundary(self):
@@ -727,15 +751,23 @@ def preset_runs():
     return runs
 
 
+def local_reference(r):
+    """One row's two local sides, and whether the local inequality holds on
+    them: strictly with slack on an update, to ``EQUALITY_RTOL`` otherwise,
+    and never on an overflowed rhs.  A zero alpha weighs by inf or NaN."""
+    with np.errstate(all="ignore"):
+        weight = np.float64(r.mu_bar) / r.alpha if r.updated else 0.0
+        lhs = float(r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde))
+        rhs = float(r.wtilde_sq_before + weight * (r.n * r.n))
+    if r.updated:
+        return lhs, rhs, math.isfinite(rhs) and lhs < rhs + LOCAL_SLACK * max(1.0, rhs)
+    tolerance = EQUALITY_RTOL * max(1.0, abs(rhs))
+    return lhs, rhs, math.isfinite(rhs) and abs(lhs - rhs) <= tolerance
+
+
 def verify_rows_reference(rows):
     """``verify_trace`` as a loop over rows, one rule at a time: the
     reference its column expressions must reproduce message for message."""
-
-    def close(value, reference):
-        # an overflowed reference matches nothing
-        tolerance = EQUALITY_RTOL * max(1.0, abs(reference))
-        return math.isfinite(reference) and abs(value - reference) <= tolerance
-
     problems = []
     expected_k = 0
     previous = None
@@ -751,20 +783,23 @@ def verify_rows_reference(rows):
         previous = r
         if r.updated and not r.alpha > 0.0:
             problems.append(f"row k={r.k}: update with alpha={r.alpha!r}, not positive")
-            continue
-        split = r.e_tilde + r.n
-        if not abs(r.e - split) <= EQUALITY_RTOL * max(1.0, abs(r.e), abs(split)):
-            problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
-        weight = r.mu_bar / r.alpha if r.updated else 0.0
-        lhs = r.wtilde_sq_after + weight * (r.e_tilde * r.e_tilde)
-        rhs = r.wtilde_sq_before + weight * (r.n * r.n)
-        if r.updated:
-            local_ok = math.isfinite(rhs) and lhs < rhs + LOCAL_SLACK * max(1.0, rhs)
         else:
-            local_ok = close(lhs, rhs)
-        if not local_ok:
+            split = r.e_tilde + r.n
+            if not abs(r.e - split) <= EQUALITY_RTOL * max(1.0, abs(r.e), abs(split)):
+                problems.append(f"row k={r.k}: error decomposition e != e_tilde + n")
+            lhs, rhs, local_ok = local_reference(r)
+            if not local_ok:
+                problems.append(
+                    f"row k={r.k}: local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"
+                )
+        # an update whose noiseless error dominates its noise (or is NaN) must
+        # lower the deviation energy, whatever its alpha
+        dominated = not r.e_tilde * r.e_tilde < r.n * r.n
+        if r.updated and dominated and not r.wtilde_sq_after < r.wtilde_sq_before:
             problems.append(
-                f"row k={r.k}: local energy inequality violated (lhs={lhs!r}, rhs={rhs!r})"
+                f"row k={r.k}: conditional improvement violated (e_tilde^2 >= n^2,"
+                f" wtilde_sq_after={r.wtilde_sq_after!r} not below"
+                f" wtilde_sq_before={r.wtilde_sq_before!r})"
             )
     error = disturbance = np.float64(0.0)
     updates = 0
@@ -842,6 +877,29 @@ class TestLedger:
                 assert verify_trace(Ledger.of(copy)) == want, where
                 faults += bool(want)
         assert faults > 0
+
+    def test_summary_counts_the_rows_verify_trace_reports(self, preset_runs):
+        # the local count also holds the failing updates without a positive
+        # alpha, whose row arithmetic verify_trace does not check
+        rng = random.Random(3)
+        seen = {"local": 0, "conditional": 0}
+        for where, (ledger, _) in preset_runs.items():
+            rows = list(ledger)
+            for copy in [rows] + [tampered(rows, rng) for _ in range(8)]:
+                problems = verify_trace(copy)
+                reported = {
+                    kind: sum(f": {kind}" in p for p in problems)
+                    for kind in ("local energy inequality", "conditional improvement")
+                }
+                unchecked = sum(
+                    r.updated and not r.alpha > 0.0 and not local_reference(r)[2] for r in copy
+                )
+                verdict = summarize_run(copy)
+                assert verdict.local_violations == reported["local energy inequality"] + unchecked
+                assert verdict.conditional_violations == reported["conditional improvement"]
+                seen["local"] += verdict.local_violations
+                seen["conditional"] += verdict.conditional_violations
+        assert seen["local"] > 0 and seen["conditional"] > 0, seen
 
 
 _TRACE_JUNK = st.one_of(
