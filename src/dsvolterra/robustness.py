@@ -21,7 +21,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
@@ -40,7 +40,7 @@ EQUALITY_RTOL = 1e-12
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """One ledger row; ``in_transient`` is None for rows read back from CSV."""
+    """One ledger row."""
 
     k: int
     e: float
@@ -52,19 +52,19 @@ class IterationRecord:
     gamma_used: float
     wtilde_sq_before: float
     wtilde_sq_after: float
-    in_transient: bool | None = None
+    in_transient: bool
 
 
-_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
-#: the trace CSV's columns: every row field but ``in_transient``, in order
-TRACE_COLUMNS = _FIELDS[:-1]
-_DTYPES = {"k": np.int64, "updated": np.bool_}
+#: the trace CSV's columns: every row field, in order
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
+#: each column's dtype but float64's: the ledger's arrays, and the CSV's integer columns
+_DTYPES = {"k": np.int64, "updated": np.bool_, "in_transient": np.bool_}
 
 
 @dataclass(frozen=True, eq=False)
 class Ledger:
     """A run's ledger as one array per trace column (``k`` int64, ``updated``
-    bool, the rest float64); ``in_transient`` is None when read from CSV.
+    and ``in_transient`` bool, the rest float64).
 
     ``len()``, iteration and integer indexing give :class:`IterationRecord`
     rows holding Python scalars; a slice gives the Ledger of those rows.
@@ -81,42 +81,34 @@ class Ledger:
     gamma_used: ArrayF
     wtilde_sq_before: ArrayF
     wtilde_sq_after: ArrayF
-    in_transient: np.ndarray | None = None
+    in_transient: np.ndarray
 
     @classmethod
     def of(cls, rows: Ledger | Sequence[IterationRecord]) -> Ledger:
         """``rows`` as a Ledger: a Ledger as it is, a row sequence column by column."""
         if isinstance(rows, Ledger):
             return rows
-        columns = [
-            np.fromiter(map(attrgetter(c), rows), _DTYPES.get(c, np.float64), len(rows))
-            for c in TRACE_COLUMNS
-        ]
-        transient = list(map(attrgetter("in_transient"), rows))
-        in_transient = None if None in transient else np.array(transient, dtype=bool)
-        return cls(*columns, in_transient)
+        return cls(*(np.fromiter(map(attrgetter(c), rows), _DTYPES.get(c, np.float64), len(rows))
+                     for c in TRACE_COLUMNS))
 
-    def _columns(self) -> list:
-        return [getattr(self, name) for name in _FIELDS]
+    _columns = property(attrgetter(*TRACE_COLUMNS))
 
     def __len__(self) -> int:
         return len(self.k)
 
     def __iter__(self) -> Iterator[IterationRecord]:
-        *columns, transient = self._columns()
-        transient = repeat(None) if transient is None else transient.tolist()
-        return map(IterationRecord, *(c.tolist() for c in columns), transient)
+        return map(IterationRecord, *(c.tolist() for c in self._columns))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Ledger(*(None if c is None else c[index] for c in self._columns()))
+            return Ledger(*(c[index] for c in self._columns))
         i = range(len(self))[index]
         return next(iter(self[i : i + 1]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ledger):
             return NotImplemented
-        return all(map(np.array_equal, self._columns(), other._columns()))
+        return all(map(np.array_equal, self._columns, other._columns))
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,6 @@ def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
     error_energy, noise_energy = energies = _weighted_energies(ledger)
     lhs, rhs = _local_sides(ledger, energies)
     alpha_bad = updated & ~(ledger.alpha > 0.0)
-    transient = ledger.in_transient if ledger.in_transient is not None else False
     with np.errstate(all="ignore"):
         strict = lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs)
         equal = abs(lhs - rhs) <= EQUALITY_RTOL * np.maximum(1.0, abs(rhs))
@@ -327,7 +318,7 @@ def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
         chain_broken=np.append(np.zeros_like(k[:1], bool), before[1:] != after[:-1]),
         alpha_bad=alpha_bad, split_off=~split_ok & ~alpha_bad, local_off=local_off,
         local_checked=local_off & ~alpha_bad, unimproved=unimproved,
-        increased=increased, increased_in_transient=increased & transient,
+        increased=increased, increased_in_transient=increased & ledger.in_transient,
         above_one=(np.cumsum(updated) >= 1) & ~(ratios < 1.0 + LOCAL_SLACK),
     )
 
@@ -387,27 +378,26 @@ FLOAT_FORMAT = "%.17g"
 
 def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
     """Emit the ledger's trace columns as CSV: header row, LF endings, '.'
-    decimals, ``k`` and ``updated`` as integers, floats at 17 significant
-    digits so a re-read reproduces every bit; ``ROW_BLOCK`` rows at a time."""
+    decimals, ``k`` and the flags as integers, floats at 17 significant digits
+    so a re-read reproduces every bit; ``ROW_BLOCK`` rows at a time."""
     ledger = Ledger.of(rows)
-    columns = [getattr(ledger, c) for c in TRACE_COLUMNS]
     row = ",".join("%d" if c in _DTYPES else FLOAT_FORMAT for c in TRACE_COLUMNS) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k0 in range(0, len(ledger), ROW_BLOCK):
-            block = [c[k0 : k0 + ROW_BLOCK].tolist() for c in columns]
+            block = [c[k0 : k0 + ROW_BLOCK].tolist() for c in ledger._columns]
             fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
-#: each trace field as :func:`write_trace_csv` emits it: ``k`` by ``%d``, ``updated``
-#: 0 or 1, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction zeros,
-#: 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
+#: each trace field as :func:`write_trace_csv` emits it: an int64 column by ``%d``, a
+#: bool column 0 or 1, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction
+#: zeros, 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
 _FRACTION = r"(?:\.[0-9]*[1-9])?"
 _FLOAT_AS_WRITTEN = (
     rf"-?(?:(?:0|[1-9][0-9]*){_FRACTION}|[1-9]{_FRACTION}e[+-][1-9]?[0-9]{{2}}|inf)|nan"
 )
 _AS_WRITTEN = [
-    {"k": r"0|-?[1-9][0-9]{0,18}", "updated": "[01]"}.get(c, _FLOAT_AS_WRITTEN)
+    {np.int64: r"0|-?[1-9][0-9]{0,18}", np.bool_: "[01]"}.get(_DTYPES.get(c), _FLOAT_AS_WRITTEN)
     for c in TRACE_COLUMNS
 ]
 _ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
@@ -415,7 +405,7 @@ _ROW_AS_WRITTEN = re.compile(",".join(f"(?:{field})" for field in _AS_WRITTEN))
 
 def read_trace_csv(path) -> Ledger:
     """Read back a trace written by :func:`write_trace_csv`: every field as it
-    writes one and finite, ``k`` a 64-bit integer and ``updated`` 0 or 1, each
+    writes one and finite, ``k`` a 64-bit integer and each flag 0 or 1, each
     line ended by "\\n" alone.  A ``ValueError`` names the path and line of
     the first fault.  Lines are matched against the row syntax, then parsed
     ``ROW_BLOCK`` at a time; only a faulty file is walked line by line."""
@@ -425,25 +415,29 @@ def read_trace_csv(path) -> Ledger:
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-    if lines and lines[0] == ",".join(TRACE_COLUMNS + ("lhs", "rhs")):
-        raise ValueError(f"{path}:1: trace has the lhs,rhs columns of an older format;"
+    older = ",".join(c for c in TRACE_COLUMNS if c != "in_transient")
+    missing = {older + ",lhs,rhs": "the lhs,rhs columns", older: "no in_transient column"}
+    if lines and lines[0] in missing:
+        raise ValueError(f"{path}:1: trace has {missing[lines[0]]} of an older format;"
                          " re-run its config.json")
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
+    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError(f"{path}:1: not a trace CSV (bad or missing header)")
     rows, width = lines[1:], len(TRACE_COLUMNS)
     if tail or not all(map(_ROW_AS_WRITTEN.fullmatch, rows)):
         _first_fault(path, rows)
-    # one contiguous row per column
-    table, ks = np.empty((width, len(rows))), []
-    for k0 in range(0, len(rows), ROW_BLOCK):
-        fields = ",".join(rows[k0 : k0 + ROW_BLOCK]).split(",")
-        block = np.fromiter(map(float, fields), np.float64, len(fields))
-        table[:, k0 : k0 + ROW_BLOCK] = block.reshape(-1, width).T
-        ks += map(int, fields[::width])
-    if not np.isfinite(table).all() or ks and not (-(2**63) <= min(ks) and max(ks) < 2**63):
+    # each column a block at a time, by int() where the writer wrote %d
+    columns = [np.empty(len(rows), _DTYPES.get(c, np.float64)) for c in TRACE_COLUMNS]
+    try:
+        for k0 in range(0, len(rows), ROW_BLOCK):
+            fields = ",".join(rows[k0 : k0 + ROW_BLOCK]).split(",")
+            for j, (c, column) in enumerate(zip(TRACE_COLUMNS, columns)):
+                parse = int if c in _DTYPES else float
+                column[k0 : k0 + ROW_BLOCK] = list(map(parse, fields[j::width]))
+    except OverflowError:  # an integer beyond 64 bits
         _first_fault(path, rows)
-    _, e, e_tilde, n, updated, *rest = table
-    return Ledger(np.array(ks, dtype=np.int64), e, e_tilde, n, updated != 0.0, *rest)
+    if not all(np.isfinite(c).all() for c in columns):
+        _first_fault(path, rows)
+    return Ledger(*columns)
 
 
 def _first_fault(path, rows: list[str]) -> NoReturn:
@@ -453,16 +447,17 @@ def _first_fault(path, rows: list[str]) -> NoReturn:
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} columns")
-        if parts[4] not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: column updated must be 0 or 1")
-        if not _ROW_AS_WRITTEN.fullmatch(line):
-            i = next(i for i, f in enumerate(parts) if not re.fullmatch(_AS_WRITTEN[i], f))
-            raise ValueError(f"{path}:{lineno}: column {TRACE_COLUMNS[i]} is malformed")
-        non_finite = [c for c, f in zip(TRACE_COLUMNS, parts) if not math.isfinite(float(f))]
-        if non_finite:
-            raise ValueError(f"{path}:{lineno}: column {non_finite[0]} is not finite")
-        if not -(2**63) <= int(parts[0]) < 2**63:
-            raise ValueError(f"{path}:{lineno}: column k is out of range")
+        row = [(c, f, _DTYPES.get(c), s) for c, f, s in zip(TRACE_COLUMNS, parts, _AS_WRITTEN)]
+        # each check runs only on a row that passes the ones before it
+        fault = next(chain(
+            (f"{c} must be 0 or 1" for c, f, t, _ in row if t is np.bool_ and f not in ("0", "1")),
+            (f"{c} is malformed" for c, f, _, s in row if not re.fullmatch(s, f)),
+            (f"{c} is not finite" for c, f, _, _ in row if not math.isfinite(float(f))),
+            (f"{c} is out of range" for c, f, t, _ in row
+             if t is np.int64 and not -(2**63) <= int(f) < 2**63),
+        ), None)
+        if fault:
+            raise ValueError(f"{path}:{lineno}: column {fault}")
     raise ValueError(f"{path}:{len(rows) + 2}: line does not end in a newline")
 
 

@@ -28,7 +28,8 @@ ArrayF = npt.NDArray[np.float64]
 _MAX_DIMENSION = 2_000_000
 _MAX_LAG_ENTRIES = 20_000_000
 
-#: rows per block of the series expansion, run_ledger and write_trace_csv; bounds memory
+#: rows per block of the series expansion, run_ledger, generate_input, desired_signal,
+#: write_trace_csv and read_trace_csv; bounds memory
 ROW_BLOCK = 512
 
 

@@ -215,25 +215,23 @@ class TestRun:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in PRESET_DIR.glob("*.json")))
     def test_summary_rederives_from_trace(self, name, tmp_path):
-        # increases_in_transient is left out: the trace has no in_transient column
-        fields = (
-            "total_iterations", "update_count", "update_rate", "local_violations",
-            "conditional_violations", "increase_count", "increase_fraction",
-            "global_ratio", "wtilde_sq_initial", "wtilde_sq_final",
-        )
+        # every verdict field from the trace, the tail bound from the config
+        config = harness.preset(name)
         out_dir = tmp_path / "out"
         argv = ["run", name, "--trials", "2", "--seed", "1", "--out", str(out_dir), "--quiet"]
         assert main(argv) == EXIT_OK
         summaries = sorted(out_dir.glob("trial_*/*/summary.json"))
-        assert len(summaries) == 2 * len(harness.preset(name).algorithms)
+        assert len(summaries) == 2 * len(config.algorithms)
         runs = json.loads((out_dir / "summary.json").read_text())["runs"]
         for path in summaries:
             run = json.loads(path.read_text())
             assert run in runs, path
+            (alg,) = (a for a in config.algorithms if a.label == run["variant"])
             ledger = read_trace_csv(path.parent / "trace.csv")
-            verdict = summarize_run(ledger)
+            tau = harness._tau_for_bound(alg, config.noise)
+            verdict = summarize_run(ledger, tau_for_bound=tau)
             rederived = verdict.as_dict()
-            assert {f: rederived[f] for f in fields} == {f: run[f] for f in fields}, path
+            assert rederived == {f: run[f] for f in rederived}, path
             assert verdict.global_ratio == prefix_ratios(ledger)[-1].item(), path
 
     def test_reruns_byte_identical(self, small_config_path, tmp_path, capsys):
@@ -323,12 +321,29 @@ class TestCheck:
         # a trace that still stores lhs and rhs gets one message, not a verdict
         out_dir = tmp_path / "out"
         main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
-        header, *rows = (out_dir / "trial_000" / "ds" / "trace.csv").read_text().splitlines()
+        lines = (out_dir / "trial_000" / "ds" / "trace.csv").read_text().splitlines()
+        # the ten leading columns, before in_transient was written
+        header, *rows = [",".join(line.split(",")[:10]) for line in lines]
         trace = tmp_path / "old.csv"
         trace.write_text("\n".join([header + ",lhs,rhs"] + [row + ",0,0" for row in rows]) + "\n")
         assert main(["check", str(trace)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: {trace}:1: trace has the lhs,rhs columns of an older format;"
+            " re-run its config.json\n"
+        )
+
+    def test_trace_without_in_transient_is_a_read_error(
+        self, small_config_path, tmp_path, capsys
+    ):
+        # the ten-column format written before in_transient joined the trace
+        out_dir = tmp_path / "out"
+        main(["run", str(small_config_path), "--out", str(out_dir), "--quiet"])
+        lines = (out_dir / "trial_000" / "ds" / "trace.csv").read_text().splitlines()
+        trace = tmp_path / "old.csv"
+        trace.write_text("\n".join(",".join(line.split(",")[:10]) for line in lines) + "\n")
+        assert main(["check", str(trace)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {trace}:1: trace has no in_transient column of an older format;"
             " re-run its config.json\n"
         )
 

@@ -42,6 +42,7 @@ from dsvolterra.robustness import (
     TRACE_COLUMNS,
     IterationRecord,
     Ledger,
+    _DTYPES,
     _local_sides,
 )
 from dsvolterra.volterra import ROW_BLOCK
@@ -87,9 +88,14 @@ def random_run(seed=0, iters=300, gamma=0.15, noise_kind="gaussian"):
     return records
 
 
+def ten_columns(lines):
+    """Trace lines cut to their ten leading columns, the format before in_transient."""
+    return [",".join(line.split(",")[:10]) for line in lines]
+
+
 def one_row(**fields):
-    """The verdict of a one-row ledger."""
-    return summarize_run(Ledger.of([IterationRecord(**fields)]))
+    """The verdict of a one-row ledger, a steady-state row."""
+    return summarize_run(Ledger.of([IterationRecord(in_transient=False, **fields)]))
 
 
 class TestCanonicalSingleUpdate:
@@ -412,11 +418,8 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(records, path)
         back = read_trace_csv(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert b.in_transient is None
-            for field in TRACE_COLUMNS:
-                assert getattr(a, field) == getattr(b, field), field
+        assert back == Ledger.of(records)
+        assert list(back) == records
 
     def test_dialect(self, tmp_path):
         records = random_run(seed=9, iters=10)
@@ -430,29 +433,42 @@ class TestTraceCsv:
 
     def test_fields_are_integers_and_17_digit_floats(self, tmp_path):
         values = [-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5, 1e-7, 12345678901234567.0]
-        row = dict(zip(TRACE_COLUMNS[1:4] + TRACE_COLUMNS[5:], values * 2))
+        row = dict(zip(_FLOAT_FIELDS, values * 2))
         path = tmp_path / "trace.csv"
-        write_trace_csv([IterationRecord(k=2**62, updated=True, **row)], path)
-        want = [str(2**62)] + [format(row[c], ".17g") if c in row else "1" for c in TRACE_COLUMNS[1:]]
+        write_trace_csv([IterationRecord(k=2**62, updated=True, in_transient=False, **row)], path)
+        flags = {"k": str(2**62), "updated": "1", "in_transient": "0"}
+        want = [flags[c] if c in flags else format(row[c], ".17g") for c in TRACE_COLUMNS]
         assert path.read_text().splitlines()[1] == ",".join(want)
 
-    def test_header_is_the_ten_ledger_columns(self, tmp_path):
+    def test_header_is_the_eleven_ledger_columns(self, tmp_path):
         # the two sides of the local inequality are derived, not written
         path = tmp_path / "trace.csv"
         write_trace_csv(random_run(seed=9, iters=10), path)
         lines = path.read_text().splitlines()
         assert lines[0] == (
-            "k,e,e_tilde,n,updated,mu_bar,alpha,gamma_used,wtilde_sq_before,wtilde_sq_after"
+            "k,e,e_tilde,n,updated,mu_bar,alpha,gamma_used,wtilde_sq_before,wtilde_sq_after,"
+            "in_transient"
         )
-        assert {line.count(",") for line in lines} == {9}
+        assert {line.count(",") for line in lines} == {10}
 
     def test_older_format_with_stored_sides_is_named(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv(random_run(seed=9, iters=10), path)
-        header, *rows = path.read_text().splitlines()
+        header, *rows = ten_columns(path.read_text().splitlines())
         path.write_text("\n".join([header + ",lhs,rhs"] + [row + ",0,0" for row in rows]) + "\n")
         message = (
             f"{path}:1: trace has the lhs,rhs columns of an older format; re-run its config.json"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace_csv(path)
+
+    def test_older_format_without_in_transient_is_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(random_run(seed=9, iters=10), path)
+        path.write_text("\n".join(ten_columns(path.read_text().splitlines())) + "\n")
+        message = (
+            f"{path}:1: trace has no in_transient column of an older format;"
+            " re-run its config.json"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_trace_csv(path)
@@ -463,7 +479,7 @@ class TestTraceCsv:
         (ledger,) = harness.run_trial(config, 1).values()
         path = tmp_path / "trace.csv"
         write_trace_csv(ledger, path)
-        formats = ["%d" if c in ("k", "updated") else "%.17g" for c in TRACE_COLUMNS]
+        formats = ["%d" if c in _DTYPES else "%.17g" for c in TRACE_COLUMNS]
         want = [",".join(f % getattr(r, c) for f, c in zip(formats, TRACE_COLUMNS)) for r in ledger]
         assert path.read_text().split("\n") == [",".join(TRACE_COLUMNS)] + want + [""]
 
@@ -502,16 +518,20 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=r"trace\.csv:2: column e is not finite"):
             read_trace_csv(path)
 
-    @pytest.mark.parametrize("flag", ["2", "1.0", "-0"])
-    def test_update_flag_must_be_zero_or_one(self, tmp_path, flag):
+    @pytest.mark.parametrize(
+        ("column", "flag"),
+        [pytest.param("updated", flag, id=flag) for flag in ("2", "1.0", "-0")]
+        + [pytest.param("in_transient", "2", id="in_transient-2")],
+    )
+    def test_update_flag_must_be_zero_or_one(self, tmp_path, column, flag):
         path = tmp_path / "trace.csv"
         write_trace_csv(random_run(seed=12, iters=5), path)
         lines = path.read_text().splitlines()
         fields = lines[3].split(",")
-        fields[TRACE_COLUMNS.index("updated")] = flag
+        fields[TRACE_COLUMNS.index(column)] = flag
         lines[3] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"trace\.csv:4: column updated must be 0 or 1"):
+        with pytest.raises(ValueError, match=rf"trace\.csv:4: column {column} must be 0 or 1"):
             read_trace_csv(path)
 
     @pytest.mark.parametrize(
@@ -580,10 +600,10 @@ class TestTraceCsv:
     def test_every_finite_float_reads_back(self, values):
         # the reader's syntax takes every form of a finite double the writer
         # emits, on the block parser and on the row loop that names faults
-        row = dict(zip(TRACE_COLUMNS[1:4] + TRACE_COLUMNS[5:], values + [-0.0, 5e-324]))
+        row = dict(zip(_FLOAT_FIELDS, values + [-0.0, 5e-324]))
         records = [
-            IterationRecord(k=7, updated=True, **row),
-            IterationRecord(k=2**63 - 1, updated=False, **row),
+            IterationRecord(k=7, updated=True, in_transient=False, **row),
+            IterationRecord(k=2**63 - 1, updated=False, in_transient=True, **row),
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
@@ -657,7 +677,7 @@ class TestTraceCsv:
         # (mu/alpha) e~^2 overflows to inf, and so does the derived lhs
         row = IterationRecord(
             k=0, e=1e200, e_tilde=1e200, n=0.0, updated=True, mu_bar=0.5, alpha=1.0,
-            gamma_used=0.0, wtilde_sq_before=1.0, wtilde_sq_after=0.5,
+            gamma_used=0.0, wtilde_sq_before=1.0, wtilde_sq_after=0.5, in_transient=True,
         )
         assert verify_trace([row]) == [
             "row k=0: local energy inequality violated (lhs=inf, rhs=1.0)",
@@ -696,8 +716,10 @@ class TestTraceCsvPastTheFirstBlock:
             ("e", "0.50", "column e is malformed"),
             ("n", "nan", "column n is not finite"),
             ("k", str(2**63), "column k is out of range"),
-            # a CRLF ending leaves "\r" at the end of the last field
+            # a stray "\r" after a float field
             ("wtilde_sq_after", "{}\r", "column wtilde_sq_after is malformed"),
+            # a CRLF ending leaves "\r" at the end of the last field, a flag
+            ("in_transient", "{}\r", "column in_transient must be 0 or 1"),
         ],
     )
     def test_fault_names_its_line(self, preset_trace, tmp_path, column, field, message):
@@ -816,7 +838,7 @@ def verify_rows_reference(rows):
     return problems
 
 
-_FLOAT_FIELDS = tuple(c for c in TRACE_COLUMNS if c not in ("k", "updated"))
+_FLOAT_FIELDS = tuple(c for c in TRACE_COLUMNS if c not in _DTYPES)
 
 
 def tampered(rows, rng):
