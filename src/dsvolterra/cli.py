@@ -71,12 +71,8 @@ def _resolve_config(args) -> harness.ExperimentConfig:
 def _verdict_line(name: str, trial: dict, label: str) -> str:
     parts = [f"name={name}", f"trial={trial['index']}", f"seed={trial['seed']}", f"variant={label}"]
     for key, value in trial["verdicts"][label].as_dict().items():
-        if value is None:
-            parts.append(f"{key}=na")
-        elif isinstance(value, float):
-            parts.append(f"{key}={value:.6g}")
-        else:
-            parts.append(f"{key}={value}")
+        text = "na" if value is None else f"{value:.6g}" if isinstance(value, float) else value
+        parts.append(f"{key}={text}")
     return " ".join(parts)
 
 

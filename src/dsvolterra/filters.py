@@ -143,6 +143,8 @@ def _gamma(policy: ThresholdPolicy, transient: bool) -> float:
 
 #: why a step that must move cannot be normalized
 ZERO_ENERGY = "zero regressor energy with zero regularization; cannot normalize"
+#: why no step can be taken: x'x sums squares, so a non-finite entry makes it inf or NaN
+ENERGY_NOT_FINITE = "regressor contains non-finite entries or its energy x'x + delta is not finite"
 
 
 def _update(
@@ -151,15 +153,17 @@ def _update(
     """The update law of every streaming step, and the reference that the
     trial engine's inline copy (:func:`robustness.run_ledger`) is tested against.
 
-    Error e = d - w'x, normalization alpha = x'x + delta.  Without a constant
-    step size ``mu`` the step is data-selective: it moves only when |e|
-    strictly exceeds ``gamma``, with step weight 1 - gamma/|e|.  With ``mu``
-    every step counts as an update with step weight ``mu``.  A moving
-    estimate is replaced, never mutated, and an unchanged one is returned as
-    the same object.  Returns ``(w_next, e, updated, mu_bar, alpha)``.
+    Normalization alpha = x'x + delta, which must be finite; error e = d - w'x.
+    Without a constant step size ``mu`` the step is data-selective: it moves
+    only when |e| strictly exceeds ``gamma``, with step weight 1 - gamma/|e|.
+    With ``mu`` every step counts as an update with step weight ``mu``.  A
+    moving estimate is replaced, never mutated, and an unchanged one is
+    returned as the same object.  Returns ``(w_next, e, updated, mu_bar, alpha)``.
     """
-    e = desired - float(w.dot(x))
     alpha = float(x.dot(x)) + delta
+    if not math.isfinite(alpha):
+        raise NumericInputError(ENERGY_NOT_FINITE)
+    e = desired - float(w.dot(x))
     if mu is None:
         updated = abs(e) > gamma
         mu_bar = 1.0 - gamma / abs(e) if updated else 0.0
@@ -179,8 +183,6 @@ def _step(
     if not math.isfinite(desired):
         raise NumericInputError(f"desired value must be finite, got {d!r}")
     x = expand(state.delay_line, state.config)
-    if not np.isfinite(x).all():
-        raise NumericInputError("regressor contains non-finite entries")
     state.w, e, updated, mu_bar, alpha = _update(
         state.w, x, desired, state.config.regularization, gamma, mu
     )

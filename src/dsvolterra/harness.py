@@ -24,7 +24,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTermError, NumericInputError
+from .errors import ConfigError, InvalidTermError
 from .filters import ThresholdPolicy, _store_floats
 from .robustness import Ledger, RunVerdict, run_ledger, summarize_run, write_trace_csv
 from .signals import (
@@ -164,10 +164,6 @@ def _run_variants(
     w_star: np.ndarray,
 ) -> dict[str, Ledger]:
     """Every variant on one realization, sharing its regressor matrix."""
-    if not np.isfinite(regressors).all():
-        raise NumericInputError("regressor contains non-finite entries")
-    if not np.isfinite(d).all():
-        raise NumericInputError("desired signal contains non-finite entries")
     delta = config.volterra.regularization
     return {
         alg.label: run_ledger(
@@ -220,20 +216,16 @@ def compare_algorithms(config: ExperimentConfig, out_dir=None) -> dict:
         )
     aggregate = {}
     for alg in config.algorithms:
-        verdicts = [t["verdicts"][alg.label] for t in trials]
+        # each verdict field over the trials; an undefined global ratio is None
+        runs = [t["verdicts"][alg.label].as_dict() for t in trials]
+        column = {key: [run[key] for run in runs] for key in runs[0]}
         aggregate[alg.label] = {
-            "mean_update_rate": sum(v.update_rate for v in verdicts) / len(verdicts),
-            "mean_increase_fraction": sum(v.increase_fraction for v in verdicts)
-            / len(verdicts),
-            "mean_wtilde_sq_final": sum(v.wtilde_sq_final for v in verdicts)
-            / len(verdicts),
-            "total_local_violations": sum(v.local_violations for v in verdicts),
-            "total_conditional_violations": sum(
-                v.conditional_violations for v in verdicts
-            ),
+            **{f"mean_{key}": sum(column[key]) / len(runs)
+               for key in ("update_rate", "increase_fraction", "wtilde_sq_final")},
+            **{f"total_{key}": sum(column[key])
+               for key in ("local_violations", "conditional_violations")},
             "max_global_ratio": max(
-                (v.global_ratio for v in verdicts if not math.isnan(v.global_ratio)),
-                default=None,
+                (ratio for ratio in column["global_ratio"] if ratio is not None), default=None
             ),
         }
     result = {

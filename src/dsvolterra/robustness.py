@@ -29,7 +29,8 @@ from typing import Iterator, NoReturn, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericInputError
-from .filters import ZERO_ENERGY, StepOutcome, ThresholdPolicy, _check_step_size, _gamma
+from .filters import ENERGY_NOT_FINITE, ZERO_ENERGY, StepOutcome, ThresholdPolicy
+from .filters import _check_step_size, _gamma
 from .volterra import ROW_BLOCK, ArrayF
 
 #: relative slack for the strict branch of the local inequality
@@ -205,10 +206,11 @@ def run_ledger(
     delta: float,
     law: ThresholdPolicy | float,
 ) -> Ledger:
-    """A whole run over precomputed, finite regressor rows, from the zero
-    estimate, as a ledger: the steps :func:`filters.ds_vnlms_step` (``law`` a
-    policy) or :func:`filters.vnlms_step` (``law`` a step size) take on the
-    same rows, and the rows :func:`record_iteration` gives for them.
+    """A whole run over precomputed regressor rows, from the zero estimate,
+    as a ledger: the steps :func:`filters.ds_vnlms_step` (``law`` a policy)
+    or :func:`filters.vnlms_step` (``law`` a step size) take on the same
+    rows, and the rows :func:`record_iteration` gives for them.  The first row
+    whose alpha or desired value is not finite is refused before any step.
 
     The rows are stepped on as given, the row-major matrix of
     :func:`volterra.expand_series`, and e~ is read off the same rows.  The
@@ -233,7 +235,11 @@ def run_ledger(
     size = len(d)
     # a no-op on expand_series' matrix: alpha matches x.dot(x) only on contiguous rows
     x = np.ascontiguousarray(regressors)
-    alphas = np.vecdot(x, x) + delta
+    with np.errstate(over="ignore"):
+        alphas = np.vecdot(x, x) + delta
+    for values, fault in ((alphas, ENERGY_NOT_FINITE), (d, "desired value must be finite")):
+        if not (finite := np.isfinite(values)).all():
+            raise NumericInputError(f"row k={finite.argmin()}: {fault}")
     w = np.zeros(x.shape[1])
     e, mu_bar, e_tilde, before, after = np.empty((5, size))
     updated, in_transient = np.empty((2, size), dtype=bool)
@@ -316,6 +322,7 @@ def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
         # exact: the engine and record_iteration carry the energy over
         # unchanged, and the 17-digit CSV round-trips it
         chain_broken=np.append(np.zeros_like(k[:1], bool), before[1:] != after[:-1]),
+        not_finite=~np.logical_and.reduce([np.isfinite(c) for c in ledger._columns]),
         alpha_bad=alpha_bad, split_off=~split_ok & ~alpha_bad, local_off=local_off,
         local_checked=local_off & ~alpha_bad, unimproved=unimproved,
         increased=increased, increased_in_transient=increased & ledger.in_transient,
@@ -467,7 +474,7 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     error decomposition, the local certificate on each row's derived sides,
     conditional improvement on each update whose noiseless error dominates its
     noise, and the prefix ratio wherever at least one update has happened (an
-    undefined ratio there is a violation).  Any NaN field fails its checks.
+    undefined ratio there is a violation).  A non-finite field fails its row.
     Returns violation messages, row by row; empty means the trace certifies."""
     ledger = Ledger.of(rows)
     if not len(ledger):
@@ -476,6 +483,7 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     k, after, lhs, rhs = ledger.k, ledger.wtilde_sq_after, table["lhs"], table["rhs"]
     # each row check and its message, in the order a row reports them
     checks = (
+        ("not_finite", "columns not finite: {columns}"),
         ("k_off", "expected k={expected}, rows must run k = 0..K-1"),
         ("chain_broken", "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
          " wtilde_sq_after={previous!r}"),
@@ -489,6 +497,7 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     for i in np.flatnonzero(np.any([table[name] for name, _ in checks], axis=0)).tolist():
         r, expected = ledger[i], (int(k[i - 1]) + 1 if i else 0)
         values = {"previous": after[i - 1].item(), "lhs": lhs[i].item(), "rhs": rhs[i].item()}
+        values["columns"] = ", ".join(c for c in TRACE_COLUMNS if not math.isfinite(getattr(r, c)))
         problems += (
             f"row k={r.k}: " + message.format(r=r, expected=expected, **values)
             for name, message in checks

@@ -213,6 +213,21 @@ class TestRun:
         assert captured.err == f"error: {line or message}\n"
         assert captured.out == ""
 
+    def test_overflowing_energy_is_one_error_line(self, tmp_path, capsys):
+        # fig1a in layout (3, 3) on input of variance 1e104: x'x overflows, so
+        # run refuses the realization (exit 1) and writes no trace for check
+        payload = json.loads((PRESET_DIR / "fig1a.json").read_text())
+        payload["volterra"].update(order=3, memory=3)
+        payload["input"]["variance"] = 1e104
+        path, out_dir = tmp_path / "huge.json", tmp_path / "out"
+        path.write_text(json.dumps(payload))
+        assert main(["run", str(path), "--trials", "1", "--out", str(out_dir)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: row k=")
+        assert "energy x'x + delta is not finite" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in PRESET_DIR.glob("*.json")))
     def test_summary_rederives_from_trace(self, name, tmp_path):
         # every verdict field from the trace, the tail bound from the config

@@ -166,6 +166,30 @@ def test_overflowing_regressor_rejected():
             harness.run_trial(config, 1)
 
 
+def test_overflowing_energy_rejected():
+    # white input of variance 1e104: every entry of X is finite, and x'x
+    # overflows.  alpha = x'x + delta is the one regressor check: the engine
+    # refuses the run's first row whose alpha is inf, before any step and
+    # without a numpy warning, with the message the streaming step raises there
+    config = dataclasses.replace(
+        _config("fig1a"),
+        input=SignalSpec("white_gaussian", variance=1e104),
+        volterra=VolterraConfig(3, 3),
+    )
+    x, regressors, _, _, d = harness._realization(config, 1)
+    assert np.isfinite(regressors).all() and np.isfinite(d).all()
+    with pytest.raises(NumericInputError) as engine:
+        harness.run_trial(config, 1)
+    state = FilterState(config.volterra)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericInputError) as streamed:
+            for k, sample in enumerate(x):
+                push_sample(state, sample)
+                ds_vnlms_step(state, d[k], config.algorithms[0].policy)
+    assert str(streamed.value) == filters.ENERGY_NOT_FINITE
+    assert str(engine.value) == f"row k={state.k}: {filters.ENERGY_NOT_FINITE}"
+
+
 def _sparse_kernel(volterra, seed):
     """A random kernel on about a tenth of the layout's terms, with an order-3
     term whose order-2 prefix has zero weight: a column that is formed but

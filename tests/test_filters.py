@@ -1,6 +1,7 @@
 """Streaming update laws: gating, step sizes, delay line, threshold policies."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -22,7 +23,8 @@ from dsvolterra import (
     push_sample,
     vnlms_step,
 )
-from dsvolterra.filters import _gamma, _push_flag, _transient
+from dsvolterra.filters import ENERGY_NOT_FINITE, _gamma, _push_flag, _transient
+from dsvolterra.volterra import expand
 
 
 def fresh_state(order=1, memory=1, delta=0.0):
@@ -112,6 +114,27 @@ class TestDsStep:
                 ds_vnlms_step(state, 0.0, ThresholdPolicy.fixed(0.5))
         assert state.w is w_ref
         assert state.k == 0
+
+    @pytest.mark.parametrize("step", [
+        lambda state, d: ds_vnlms_step(state, d, ThresholdPolicy.fixed(0.5)),
+        lambda state, d: vnlms_step(state, d, 0.5),
+    ], ids=["ds_vnlms", "vnlms"])
+    def test_overflowing_energy_rejected_without_state_change(self, step):
+        # white input of variance 1e104: every regressor entry is finite, but
+        # x'x overflows on the first sample (numpy warns), so alpha is inf and
+        # no step can be normalized; the step refuses it before it moves
+        config = VolterraConfig(3, 3)
+        x = generate_input(SignalSpec("white_gaussian", variance=1e104, seed=4), 1)
+        state = FilterState(config)
+        push_sample(state, x[0])
+        assert np.isfinite(expand(state.delay_line, config)).all()
+        w_ref, flags = state.w, list(state.update_flags)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericInputError, match=re.escape(ENERGY_NOT_FINITE)):
+                step(state, 0.0)
+        assert state.w is w_ref and not state.w.any()
+        assert state.k == 0
+        assert list(state.update_flags) == flags == [] and state.update_count == 0
 
     def test_zero_energy_update_with_zero_delta_rejected(self):
         state = fresh_state()  # delay line all zeros, delta = 0

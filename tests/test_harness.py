@@ -26,7 +26,8 @@ from dsvolterra import (
     total_dimension,
 )
 from dsvolterra import harness
-from dsvolterra.errors import ConfigError
+from dsvolterra.errors import ConfigError, NumericInputError
+from dsvolterra.filters import ENERGY_NOT_FINITE
 from dsvolterra.harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -565,6 +566,20 @@ class TestRunExperiment:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=re.escape(where + ": expected")):
             compare_algorithms(small_config(**overrides), out)
+        assert not out.exists()
+
+    def test_overflowing_energy_writes_nothing(self, tmp_path):
+        # fig1a in layout (3, 3) on white input of variance 1e104: every
+        # regressor entry is finite, x'x overflows, and the run is refused
+        # before any file is written
+        config = dataclasses.replace(
+            preset("fig1a"),
+            volterra=VolterraConfig(3, 3),
+            input=SignalSpec("white_gaussian", variance=1e104),
+        )
+        out = tmp_path / "out"
+        with pytest.raises(NumericInputError, match=re.escape(ENERGY_NOT_FINITE)):
+            compare_algorithms(config, out)
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -5,7 +5,7 @@ The demos, the README's Python examples and the benchmark under
 name they import from ``dsvolterra`` or read off it as an attribute
 (submodules aside) must be exported, and nothing else may be, so the public
 API cannot grow without a user that shows it.  Tests take everything else
-from the submodules.
+from the submodules.  The README's examples also run here, in order.
 """
 
 import ast
@@ -19,10 +19,14 @@ import dsvolterra
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _readme_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
 def _trees():
     for path in sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py")):
         yield ast.parse(path.read_text(), filename=str(path))
-    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+    for block in _readme_blocks():
         yield ast.parse(block, filename="README.md")
 
 
@@ -67,3 +71,15 @@ def test_namespace_holds_only_the_exported_names_and_submodules():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(dsvolterra.__all__)
+
+
+def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch, capsys):
+    # each block continues the one before it, as a reader would run them,
+    # and none writes a file
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    blocks = _readme_blocks()
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert blocks and list(tmp_path.iterdir()) == []
+    assert "[]" in capsys.readouterr().out.splitlines()

@@ -639,6 +639,36 @@ class TestTraceCsv:
         assert any(f"k={records[target].k}:" in p for p in problems)
         assert problems[-1] == f"prefix K={len(records)}: global ratio nan not below one"
 
+    @pytest.mark.parametrize(
+        ("row", "column", "value"),
+        [
+            ("no_update", "mu_bar", math.nan),
+            ("no_update", "alpha", math.nan),
+            ("update", "gamma_used", math.nan),
+            ("no_update", "gamma_used", math.nan),
+            ("improving_update", "alpha", math.inf),
+        ],
+    )
+    def test_verify_trace_refuses_a_field_the_reader_refuses(self, row, column, value, tmp_path):
+        # each of these leaves every row check and prefix ratio passing: a
+        # non-update's weight is zero whatever its alpha and mu_bar, gamma_used
+        # enters no check, and an infinite alpha weighs an update by zero.  So
+        # only the finite mask reports them, as the reader refuses them on disk
+        (ledger,) = harness.run_trial(harness.preset("fig1a"), 1).values()
+        records = list(ledger)
+        pick = {
+            "no_update": lambda r: not r.updated,
+            "update": lambda r: r.updated,
+            "improving_update": lambda r: r.updated and r.wtilde_sq_after < r.wtilde_sq_before,
+        }[row]
+        i = next(i for i, r in enumerate(records) if i > 0 and pick(r))
+        records[i] = dataclasses.replace(records[i], **{column: value})
+        assert verify_trace(records) == [f"row k={i}: columns not finite: {column}"]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(records, path)
+        with pytest.raises(ValueError, match=rf"\.csv:{i + 2}: column {column} is not finite$"):
+            read_trace_csv(path)
+
     def test_verify_trace_messages_for_one_row_with_several_faults(self):
         # the last row, so that its k gap is the only one: all of its
         # messages, in the order the checks run
@@ -794,6 +824,9 @@ def verify_rows_reference(rows):
     expected_k = 0
     previous = None
     for r in rows:
+        not_finite = [c for c in TRACE_COLUMNS if not math.isfinite(getattr(r, c))]
+        if not_finite:
+            problems.append(f"row k={r.k}: columns not finite: {', '.join(not_finite)}")
         if r.k != expected_k:
             problems.append(f"row k={r.k}: expected k={expected_k}, rows must run k = 0..K-1")
         expected_k = r.k + 1
@@ -842,16 +875,17 @@ _FLOAT_FIELDS = tuple(c for c in TRACE_COLUMNS if c not in _DTYPES)
 
 
 def tampered(rows, rng):
-    """A copy of ``rows`` with one or two random faults: a NaN field, a zero
-    alpha, a deleted row, a flipped update flag or a scaled field."""
+    """A copy of ``rows`` with one or two random faults: a NaN or infinite
+    field, a zero alpha, a deleted row, a flipped update flag or a scaled field."""
     rows = list(rows)
     for _ in range(rng.choice((1, 2))):
         i = rng.randrange(len(rows))
-        fault = rng.choice(("nan", "zero_alpha", "delete", "flip", "scale"))
+        fault = rng.choice(("nan", "inf", "zero_alpha", "delete", "flip", "scale"))
         if fault == "delete":
             del rows[i]
-        elif fault == "nan":
-            rows[i] = dataclasses.replace(rows[i], **{rng.choice(_FLOAT_FIELDS): math.nan})
+        elif fault in ("nan", "inf"):
+            value = math.nan if fault == "nan" else rng.choice((math.inf, -math.inf))
+            rows[i] = dataclasses.replace(rows[i], **{rng.choice(_FLOAT_FIELDS): value})
         elif fault == "zero_alpha":
             rows[i] = dataclasses.replace(rows[i], alpha=0.0)
         elif fault == "flip":
@@ -888,9 +922,13 @@ class TestLedger:
                     assert value == want[key], (where, key)
             assert verify_trace(ledger) == verify_trace(oracle) == [], where
 
-    def test_verify_trace_matches_the_row_loop_on_tampered_ledgers(self, preset_runs):
+    def test_verify_trace_matches_the_row_loop_on_tampered_ledgers(self, preset_runs, tmp_path):
+        # and the trace of each copy agrees on disk: the reader refuses the
+        # first row with a field that is not finite, naming its first such
+        # column, and re-reads every other copy with the same verdict
         rng = random.Random(2)
-        faults = 0
+        path = tmp_path / "trace.csv"
+        faults = refused = 0
         for where, (ledger, _) in preset_runs.items():
             rows = list(ledger)
             for copy in [rows] + [tampered(rows, rng) for _ in range(8)]:
@@ -898,7 +936,17 @@ class TestLedger:
                 assert verify_trace(copy) == want, where
                 assert verify_trace(Ledger.of(copy)) == want, where
                 faults += bool(want)
-        assert faults > 0
+                write_trace_csv(copy, path)
+                bad = [(i, c) for i, r in enumerate(copy) for c in TRACE_COLUMNS
+                       if not math.isfinite(getattr(r, c))]
+                if not bad:
+                    assert verify_trace(read_trace_csv(path)) == want, where
+                    continue
+                (i, column), refused = bad[0], refused + 1
+                assert f"row k={copy[i].k}: columns not finite: {column}" in "\n".join(want)
+                with pytest.raises(ValueError, match=rf":{i + 2}: column {column} is not finite$"):
+                    read_trace_csv(path)
+        assert faults > 0 and refused > 0
 
     def test_summary_counts_the_rows_verify_trace_reports(self, preset_runs):
         # the local count also holds the failing updates without a positive
@@ -990,3 +1038,7 @@ class TestTraceCsvFuzz:
         assert all(isinstance(p, str) for p in problems)
         if records == original:
             assert problems == []
+        # what the reader accepts is finite, and a re-read keeps its verdict
+        assert not any(": columns not finite: " in p for p in problems)
+        write_trace_csv(records, path)
+        assert verify_trace(read_trace_csv(path)) == problems
