@@ -160,7 +160,10 @@ def _update(
     moving estimate is replaced, never mutated, and an unchanged one is
     returned as the same object.  Returns ``(w_next, e, updated, mu_bar, alpha)``.
     """
-    alpha = float(x.dot(x)) + delta
+    try:
+        alpha = float(x.dot(x)) + delta
+    except RuntimeWarning:  # x'x overflowed, with numpy's warnings raised as errors
+        alpha = math.inf
     if not math.isfinite(alpha):
         raise NumericInputError(ENERGY_NOT_FINITE)
     e = desired - float(w.dot(x))

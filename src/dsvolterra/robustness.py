@@ -67,9 +67,12 @@ class Ledger:
     """A run's ledger as one array per trace column (``k`` int64, ``updated``
     and ``in_transient`` bool, the rest float64).
 
-    ``len()``, iteration and integer indexing give :class:`IterationRecord`
-    rows holding Python scalars; a slice gives the Ledger of those rows.
-    Two Ledgers are equal when every column is.
+    Every value is finite: the first row holding one that is not is refused
+    with a ``NumericInputError`` naming its ``k`` and those columns, so no
+    consumer of a Ledger meets inf or NaN.  ``len()``, iteration and integer
+    indexing give :class:`IterationRecord` rows holding Python scalars; a
+    slice gives the Ledger of those rows.  Two Ledgers are equal when every
+    column is.
     """
 
     k: np.ndarray
@@ -83,6 +86,12 @@ class Ledger:
     wtilde_sq_before: ArrayF
     wtilde_sq_after: ArrayF
     in_transient: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not all(np.isfinite(c).all() for c in self._columns):
+            i = np.logical_and.reduce([np.isfinite(c) for c in self._columns]).argmin()
+            bad = [name for name, c in zip(TRACE_COLUMNS, self._columns) if not np.isfinite(c[i])]
+            raise NumericInputError(f"row k={self.k[i]}: columns not finite: {', '.join(bad)}")
 
     @classmethod
     def of(cls, rows: Ledger | Sequence[IterationRecord]) -> Ledger:
@@ -176,28 +185,6 @@ def record_iteration(
     )
 
 
-def _weighted_energies(ledger: Ledger) -> tuple[ArrayF, ArrayF]:
-    """Each row's (mu/alpha) e~^2 and (mu/alpha) n^2 on updates, zero
-    elsewhere: what it adds to the two sides of the local inequality, and to
-    the error and disturbance energies of the global ratio.  Overflow and a
-    zero alpha give inf or NaN, which the checks count as violations."""
-    updated, e_tilde, n = ledger.updated, ledger.e_tilde, ledger.n
-    with np.errstate(all="ignore"):
-        weight = np.divide(ledger.mu_bar, ledger.alpha, out=np.zeros(len(updated)), where=updated)
-        # products, not powers: a huge finite field overflows to inf, not an error
-        return weight * (e_tilde * e_tilde), weight * (n * n)
-
-
-def _local_sides(
-    ledger: Ledger, energies: tuple[ArrayF, ArrayF] | None = None
-) -> tuple[ArrayF, ArrayF]:
-    """Each row's two sides of the local inequality, derived from its columns:
-    after + (mu/alpha) e~^2 and before + (mu/alpha) n^2.  ``energies`` are
-    the ledger's :func:`_weighted_energies`, when the caller has them."""
-    error_energy, noise_energy = _weighted_energies(ledger) if energies is None else energies
-    return ledger.wtilde_sq_after + error_energy, ledger.wtilde_sq_before + noise_energy
-
-
 def run_ledger(
     regressors: ArrayF,
     desired: ArrayF,
@@ -287,22 +274,29 @@ def run_ledger(
 
 def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
     """Every per-row value the certificates are decided on, computed once for
-    :func:`summarize_run` and :func:`verify_trace`: the weighted energies, the
-    derived sides, the prefix ratios, and one mask per fault, True on the rows
-    that have it.  Comparisons are written so that a NaN fails them.
+    :func:`summarize_run` and :func:`verify_trace`: the derived sides, the
+    prefix ratios, and one mask per fault, True on the rows that have it.
+    Comparisons are written so that a NaN fails them.
 
-    The local inequality holds strictly, with relative slack, on updates and
-    to ``EQUALITY_RTOL`` otherwise; an overflowed rhs fails it.  ``local_off``
-    marks every failing row, as the summary counts them; ``local_checked`` and
-    ``split_off`` leave out an update without a positive alpha, which has no
-    row arithmetic to check.  ``above_one`` marks each prefix after the first
-    update whose ratio is not below one with ``LOCAL_SLACK``."""
+    On updates a row adds (mu/alpha) e~^2 and (mu/alpha) n^2 to the two sides
+    of the local inequality, after + (mu/alpha) e~^2 and before + (mu/alpha)
+    n^2, and to the error and disturbance energies of the global ratio; other
+    rows add zero.  Overflow and a zero alpha give inf or NaN, which the
+    checks count as violations.  The local inequality holds strictly, with
+    relative slack, on updates and to ``EQUALITY_RTOL`` otherwise; an
+    overflowed rhs fails it.  ``local_off`` marks every failing row, as the
+    summary counts them; ``local_checked`` and ``split_off`` leave out an
+    update without a positive alpha, which has no row arithmetic to check.
+    ``above_one`` marks each prefix after the first update whose ratio is not
+    below one with ``LOCAL_SLACK``."""
     k, updated, e, e_tilde, n = ledger.k, ledger.updated, ledger.e, ledger.e_tilde, ledger.n
     before, after = ledger.wtilde_sq_before, ledger.wtilde_sq_after
-    error_energy, noise_energy = energies = _weighted_energies(ledger)
-    lhs, rhs = _local_sides(ledger, energies)
     alpha_bad = updated & ~(ledger.alpha > 0.0)
     with np.errstate(all="ignore"):
+        weight = np.divide(ledger.mu_bar, ledger.alpha, out=np.zeros(len(k)), where=updated)
+        # products, not powers: a huge finite field overflows to inf, not an error
+        error_energy, noise_energy = weight * (e_tilde * e_tilde), weight * (n * n)
+        lhs, rhs = after + error_energy, before + noise_energy
         strict = lhs < rhs + LOCAL_SLACK * np.maximum(1.0, rhs)
         equal = abs(lhs - rhs) <= EQUALITY_RTOL * np.maximum(1.0, abs(rhs))
         local_off = ~(np.isfinite(rhs) & np.where(updated, strict, equal))
@@ -317,12 +311,11 @@ def _row_table(ledger: Ledger) -> dict[str, np.ndarray]:
         unimproved = updated & ~(e_tilde * e_tilde < n * n) & ~(after < before)
     increased = after > before
     return dict(
-        error_energy=error_energy, noise_energy=noise_energy, lhs=lhs, rhs=rhs, ratios=ratios,
+        lhs=lhs, rhs=rhs, ratios=ratios,
         k_off=np.append(k[:1] != 0, k[1:] != k[:-1] + 1),
         # exact: the engine and record_iteration carry the energy over
         # unchanged, and the 17-digit CSV round-trips it
         chain_broken=np.append(np.zeros_like(k[:1], bool), before[1:] != after[:-1]),
-        not_finite=~np.logical_and.reduce([np.isfinite(c) for c in ledger._columns]),
         alpha_bad=alpha_bad, split_off=~split_ok & ~alpha_bad, local_off=local_off,
         local_checked=local_off & ~alpha_bad, unimproved=unimproved,
         increased=increased, increased_in_transient=increased & ledger.in_transient,
@@ -398,7 +391,7 @@ def write_trace_csv(rows: Ledger | Sequence[IterationRecord], path) -> None:
 
 #: each trace field as :func:`write_trace_csv` emits it: an int64 column by ``%d``, a
 #: bool column 0 or 1, the rest by FLOAT_FORMAT (no leading zeros, no trailing fraction
-#: zeros, 1-digit mantissa, 2-3 digit exponent); inf and nan reach the finite check
+#: zeros, 1-digit mantissa, 2-3 digit exponent); inf and nan reach the Ledger's finite check
 _FRACTION = r"(?:\.[0-9]*[1-9])?"
 _FLOAT_AS_WRITTEN = (
     rf"-?(?:(?:0|[1-9][0-9]*){_FRACTION}|[1-9]{_FRACTION}e[+-][1-9]?[0-9]{{2}}|inf)|nan"
@@ -440,11 +433,9 @@ def read_trace_csv(path) -> Ledger:
             for j, (c, column) in enumerate(zip(TRACE_COLUMNS, columns)):
                 parse = int if c in _DTYPES else float
                 column[k0 : k0 + ROW_BLOCK] = list(map(parse, fields[j::width]))
-    except OverflowError:  # an integer beyond 64 bits
+        return Ledger(*columns)
+    except (OverflowError, NumericInputError):  # an integer beyond 64 bits, a field not finite
         _first_fault(path, rows)
-    if not all(np.isfinite(c).all() for c in columns):
-        _first_fault(path, rows)
-    return Ledger(*columns)
 
 
 def _first_fault(path, rows: list[str]) -> NoReturn:
@@ -474,8 +465,9 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     error decomposition, the local certificate on each row's derived sides,
     conditional improvement on each update whose noiseless error dominates its
     noise, and the prefix ratio wherever at least one update has happened (an
-    undefined ratio there is a violation).  A non-finite field fails its row.
-    Returns violation messages, row by row; empty means the trace certifies."""
+    undefined ratio there is a violation).  Rows with a field that is not
+    finite are refused, as :class:`Ledger` refuses them.  Returns violation
+    messages, row by row; empty means the trace certifies."""
     ledger = Ledger.of(rows)
     if not len(ledger):
         return ["trace has no rows"]
@@ -483,7 +475,6 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     k, after, lhs, rhs = ledger.k, ledger.wtilde_sq_after, table["lhs"], table["rhs"]
     # each row check and its message, in the order a row reports them
     checks = (
-        ("not_finite", "columns not finite: {columns}"),
         ("k_off", "expected k={expected}, rows must run k = 0..K-1"),
         ("chain_broken", "wtilde_sq_before={r.wtilde_sq_before!r} is not the previous row's"
          " wtilde_sq_after={previous!r}"),
@@ -497,7 +488,6 @@ def verify_trace(rows: Ledger | Sequence[IterationRecord]) -> list[str]:
     for i in np.flatnonzero(np.any([table[name] for name, _ in checks], axis=0)).tolist():
         r, expected = ledger[i], (int(k[i - 1]) + 1 if i else 0)
         values = {"previous": after[i - 1].item(), "lhs": lhs[i].item(), "rhs": rhs[i].item()}
-        values["columns"] = ", ".join(c for c in TRACE_COLUMNS if not math.isfinite(getattr(r, c)))
         problems += (
             f"row k={r.k}: " + message.format(r=r, expected=expected, **values)
             for name, message in checks

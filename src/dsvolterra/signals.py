@@ -137,10 +137,8 @@ def generate_input(spec: SignalSpec, length: int) -> ArrayF:
     prev, a = 0.0, spec.ar_coefficient
     # in place, over Python floats a block at a time: float64's roundings, no FMA
     for k0 in range(0, length, ROW_BLOCK):
-        block = innovations[k0 : k0 + ROW_BLOCK].tolist()
-        for i, m in enumerate(block):
-            prev = block[i] = a * prev + m
-        innovations[k0 : k0 + ROW_BLOCK] = block
+        block = innovations[k0 : k0 + ROW_BLOCK]
+        block[:] = [prev := a * prev + m for m in block.tolist()]
     return innovations
 
 

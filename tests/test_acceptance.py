@@ -29,7 +29,7 @@ from dsvolterra import (
     total_dimension,
 )
 from dsvolterra import harness
-from dsvolterra.robustness import Ledger, _local_sides
+from dsvolterra.robustness import Ledger, _row_table
 
 SEEDS = tuple(range(1, 11))
 
@@ -358,7 +358,8 @@ def test_criterion_08_hand_computed_traces_reproduce():
     np.testing.assert_allclose(state.w, [0.5, 0.0], rtol=1e-12)
     assert rec.wtilde_sq_before == pytest.approx(1.0, rel=1e-12)
     assert rec.wtilde_sq_after == pytest.approx(0.25, rel=1e-12)
-    (lhs,), (rhs,) = _local_sides(Ledger.of([rec]))
+    table = _row_table(Ledger.of([rec]))
+    (lhs,), (rhs,) = table["lhs"], table["rhs"]
     assert lhs == pytest.approx(0.75, rel=1e-12)
     assert rhs == pytest.approx(1.0, rel=1e-12)
 
@@ -377,7 +378,8 @@ def test_criterion_08_hand_computed_traces_reproduce():
         w_before = state.w
         out = ds_vnlms_step(state, d, ThresholdPolicy.fixed(0.5))
         records.append(record_iteration(w_star, w_before, state.w, out, 0.0))
-    lhs, rhs = _local_sides(Ledger.of(records))
+    table = _row_table(Ledger.of(records))
+    lhs, rhs = table["lhs"], table["rhs"]
     for i, (updated, e, mu_bar, alpha, before, after, *sides) in enumerate(expected):
         rec = records[i]
         assert rec.updated == updated

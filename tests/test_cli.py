@@ -14,7 +14,7 @@ from dsvolterra import harness
 from dsvolterra.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, _build_parser, main
 from dsvolterra.robustness import (
     Ledger,
-    _local_sides,
+    _row_table,
     prefix_ratios,
     read_trace_csv,
     summarize_run,
@@ -272,7 +272,7 @@ class TestCheck:
         records = list(read_trace_csv(trace))
         target = next(i for i, r in enumerate(records) if r.updated)
         # the deviation energy after the update raised past the row's rhs
-        _, rhs = _local_sides(Ledger.of(records))
+        rhs = _row_table(Ledger.of(records))["rhs"]
         records[target] = dataclasses.replace(records[target], wtilde_sq_after=rhs[target] + 1.0)
         write_trace_csv(records, trace)
         assert main(["check", str(trace)]) == EXIT_VERIFICATION

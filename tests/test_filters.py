@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from collections import deque
 
 import numpy as np
@@ -135,6 +136,26 @@ class TestDsStep:
         assert state.w is w_ref and not state.w.any()
         assert state.k == 0
         assert list(state.update_flags) == flags == [] and state.update_count == 0
+
+    @pytest.mark.parametrize("step", [
+        lambda state, d: ds_vnlms_step(state, d, ThresholdPolicy.fixed(0.5)),
+        lambda state, d: vnlms_step(state, d, 0.5),
+    ], ids=["ds_vnlms", "vnlms"])
+    def test_overflowing_energy_rejected_under_warnings_as_errors(self, step):
+        # the same overflow with numpy's RuntimeWarning raised as an error:
+        # the step still refuses the energy by its own error, before it moves
+        config = VolterraConfig(3, 3)
+        x = generate_input(SignalSpec("white_gaussian", variance=1e104, seed=4), 1)
+        state = FilterState(config)
+        push_sample(state, x[0])
+        w_ref = state.w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericInputError, match=re.escape(ENERGY_NOT_FINITE)):
+                step(state, 0.0)
+        assert state.w is w_ref and not state.w.any()
+        assert state.k == 0
+        assert list(state.update_flags) == [] and state.update_count == 0
 
     def test_zero_energy_update_with_zero_delta_rejected(self):
         state = fresh_state()  # delay line all zeros, delta = 0

@@ -34,7 +34,7 @@ from dsvolterra import (
     write_trace_csv,
 )
 from dsvolterra import harness
-from dsvolterra.errors import DimensionMismatchError
+from dsvolterra.errors import DimensionMismatchError, NumericInputError
 from dsvolterra.filters import StepOutcome
 from dsvolterra.robustness import (
     EQUALITY_RTOL,
@@ -43,7 +43,7 @@ from dsvolterra.robustness import (
     IterationRecord,
     Ledger,
     _DTYPES,
-    _local_sides,
+    _row_table,
 )
 from dsvolterra.volterra import ROW_BLOCK
 
@@ -98,6 +98,21 @@ def one_row(**fields):
     return summarize_run(Ledger.of([IterationRecord(in_transient=False, **fields)]))
 
 
+def local_sides(rows):
+    """The two sides of the local inequality on each row, as the row table derives them."""
+    table = _row_table(Ledger.of(rows))
+    return table["lhs"], table["rhs"]
+
+
+def write_rows_as_text(rows, path):
+    """Write ``rows`` in the trace format one row at a time, without building a
+    Ledger: the writer's reference, and a way for a field that is not finite
+    to reach the file for the reader to refuse."""
+    formats = ["%d" if c in _DTYPES else "%.17g" for c in TRACE_COLUMNS]
+    lines = [",".join(f % getattr(r, c) for f, c in zip(formats, TRACE_COLUMNS)) for r in rows]
+    Path(path).write_text("\n".join([",".join(TRACE_COLUMNS)] + lines) + "\n", newline="")
+
+
 class TestCanonicalSingleUpdate:
     """w* = e1, w(0) = 0, unit regressor, d = 1, gamma = 0.5, delta = 0."""
 
@@ -116,7 +131,7 @@ class TestCanonicalSingleUpdate:
         assert record.wtilde_sq_after == 0.25
 
     def test_lhs_rhs(self, record):
-        (lhs,), (rhs,) = _local_sides(Ledger.of([record]))
+        (lhs,), (rhs,) = local_sides([record])
         assert lhs == pytest.approx(0.75, rel=1e-12)
         assert rhs == pytest.approx(1.0, rel=1e-12)
         assert summarize_run([record]).local_violations == 0
@@ -156,7 +171,7 @@ class TestThreeStepHandTrace:
 
     def test_rows_match_frozen_table(self, records):
         assert len(records) == 3
-        sides = zip(*_local_sides(Ledger.of(records)))
+        sides = zip(*local_sides(records))
         for record, (got_lhs, got_rhs), expected in zip(records, sides, self.EXPECTED):
             updated, e, e_tilde, mu_bar, alpha, before, after, lhs, rhs = expected
             assert record.updated == updated
@@ -170,7 +185,7 @@ class TestThreeStepHandTrace:
             assert got_rhs == pytest.approx(rhs, rel=1e-12)
 
     def test_zero_noise_margin_positive_on_updates(self, records):
-        lhs, rhs = _local_sides(Ledger.of(records))
+        lhs, rhs = local_sides(records)
         for record, margin in zip(records, rhs - lhs):
             if record.updated:
                 assert margin > 0.0
@@ -233,7 +248,7 @@ class TestRecordIterationEnergies:
         )
         w_star = np.array([1.0, 0.0])
         record = record_iteration(w_star, np.zeros(2), np.array([0.5, 0.0]), outcome, 1e200)
-        (lhs,), (rhs,) = _local_sides(Ledger.of([record]))
+        (lhs,), (rhs,) = local_sides([record])
         assert rhs == math.inf
         assert lhs == 0.25 + 0.5 * 1.0
         # an overflowed side decides nothing
@@ -255,7 +270,7 @@ class TestRecordIterationEnergies:
         lhs = ledger.wtilde_sq_after + weight * (ledger.e_tilde * ledger.e_tilde)
         rhs = ledger.wtilde_sq_before + weight * (ledger.n * ledger.n)
         for rows in (ledger, Ledger.of(list(ledger))):
-            got_lhs, got_rhs = _local_sides(rows)
+            got_lhs, got_rhs = local_sides(rows)
             assert np.array_equal(got_lhs, lhs)
             assert np.array_equal(got_rhs, rhs)
 
@@ -477,11 +492,10 @@ class TestTraceCsv:
         # one format call per block of ROW_BLOCK rows: the bytes of one row at a time
         config = dataclasses.replace(harness.preset("fig1a"), iterations=2 * ROW_BLOCK + 3)
         (ledger,) = harness.run_trial(config, 1).values()
-        path = tmp_path / "trace.csv"
+        path, want = tmp_path / "trace.csv", tmp_path / "rows.csv"
         write_trace_csv(ledger, path)
-        formats = ["%d" if c in _DTYPES else "%.17g" for c in TRACE_COLUMNS]
-        want = [",".join(f % getattr(r, c) for f, c in zip(formats, TRACE_COLUMNS)) for r in ledger]
-        assert path.read_text().split("\n") == [",".join(TRACE_COLUMNS)] + want + [""]
+        write_rows_as_text(ledger, want)
+        assert path.read_bytes() == want.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.csv"
@@ -501,7 +515,7 @@ class TestTraceCsv:
         # raise one update's deviation energy after, and with it its lhs,
         # above its rhs
         target = next(i for i, r in enumerate(records) if r.updated)
-        _, rhs = _local_sides(Ledger.of(records))
+        _, rhs = local_sides(records)
         corrupted = list(records)
         corrupted[target] = dataclasses.replace(
             records[target], wtilde_sq_after=rhs[target] * 2.0 + 1.0
@@ -514,7 +528,10 @@ class TestTraceCsv:
     def test_non_finite_field_rejected_on_read(self, tmp_path):
         records = random_run(seed=12, iters=50)
         path = tmp_path / "trace.csv"
-        write_trace_csv([dataclasses.replace(records[7], e=math.inf)] + records[8:], path)
+        rows = [dataclasses.replace(records[7], e=math.inf)] + records[8:]
+        with pytest.raises(NumericInputError, match=r"^row k=7: columns not finite: e$"):
+            write_trace_csv(rows, path)
+        write_rows_as_text(rows, path)
         with pytest.raises(ValueError, match=r"trace\.csv:2: column e is not finite"):
             read_trace_csv(path)
 
@@ -629,15 +646,15 @@ class TestTraceCsv:
         assert problems[0].startswith(f"row k={target}: wtilde_sq_before=")
 
     def test_verify_trace_flags_nan_on_non_update_row(self):
-        # in memory, past the reader: the NaN row and every later prefix fail
+        # in memory, past the reader: the rows cannot become a Ledger, so no
+        # row check or prefix ratio is computed on the NaN
         records = random_run(seed=13, iters=200)
         first = next(i for i, r in enumerate(records) if r.updated)
         target = next(i for i, r in enumerate(records) if i > first and not r.updated)
         corrupted = list(records)
         corrupted[target] = dataclasses.replace(records[target], n=math.nan)
-        problems = verify_trace(corrupted)
-        assert any(f"k={records[target].k}:" in p for p in problems)
-        assert problems[-1] == f"prefix K={len(records)}: global ratio nan not below one"
+        with pytest.raises(NumericInputError, match=rf"^row k={target}: columns not finite: n$"):
+            verify_trace(corrupted)
 
     @pytest.mark.parametrize(
         ("row", "column", "value"),
@@ -650,10 +667,10 @@ class TestTraceCsv:
         ],
     )
     def test_verify_trace_refuses_a_field_the_reader_refuses(self, row, column, value, tmp_path):
-        # each of these leaves every row check and prefix ratio passing: a
-        # non-update's weight is zero whatever its alpha and mu_bar, gamma_used
-        # enters no check, and an infinite alpha weighs an update by zero.  So
-        # only the finite mask reports them, as the reader refuses them on disk
+        # each of these would leave every row check and prefix ratio passing:
+        # a non-update's weight is zero whatever its alpha and mu_bar,
+        # gamma_used enters no check, and an infinite alpha weighs an update by
+        # zero.  So the Ledger refuses them, as the reader refuses them on disk
         (ledger,) = harness.run_trial(harness.preset("fig1a"), 1).values()
         records = list(ledger)
         pick = {
@@ -663,9 +680,10 @@ class TestTraceCsv:
         }[row]
         i = next(i for i, r in enumerate(records) if i > 0 and pick(r))
         records[i] = dataclasses.replace(records[i], **{column: value})
-        assert verify_trace(records) == [f"row k={i}: columns not finite: {column}"]
+        with pytest.raises(NumericInputError, match=rf"^row k={i}: columns not finite: {column}$"):
+            verify_trace(records)
         path = tmp_path / "trace.csv"
-        write_trace_csv(records, path)
+        write_rows_as_text(records, path)
         with pytest.raises(ValueError, match=rf"\.csv:{i + 2}: column {column} is not finite$"):
             read_trace_csv(path)
 
@@ -819,14 +837,12 @@ def local_reference(r):
 
 def verify_rows_reference(rows):
     """``verify_trace`` as a loop over rows, one rule at a time: the
-    reference its column expressions must reproduce message for message."""
+    reference its column expressions must reproduce message for message, on
+    rows whose fields are all finite."""
     problems = []
     expected_k = 0
     previous = None
     for r in rows:
-        not_finite = [c for c in TRACE_COLUMNS if not math.isfinite(getattr(r, c))]
-        if not_finite:
-            problems.append(f"row k={r.k}: columns not finite: {', '.join(not_finite)}")
         if r.k != expected_k:
             problems.append(f"row k={r.k}: expected k={expected_k}, rows must run k = 0..K-1")
         expected_k = r.k + 1
@@ -910,6 +926,25 @@ class TestLedger:
         assert ledger != dataclasses.replace(ledger, wtilde_sq_after=ledger.wtilde_sq_after + 1.0)
         assert ledger != rows and ledger.__eq__(rows) is NotImplemented
 
+    def test_every_consumer_refuses_a_field_that_is_not_finite(self, tmp_path):
+        # fig1a's update k=3 with its gamma_used, which enters no check, made
+        # NaN: each consumer refuses it as the Ledger it builds does
+        (ledger,) = harness.run_trial(harness.preset("fig1a"), 1).values()
+        rows = list(ledger)
+        assert rows[3].updated
+        rows[3] = dataclasses.replace(rows[3], gamma_used=math.nan)
+        gamma_used = ledger.gamma_used.copy()
+        gamma_used[3] = math.nan
+        path, refusal = tmp_path / "trace.csv", "^row k=3: columns not finite: gamma_used$"
+        for consume in (
+            Ledger.of, summarize_run, prefix_ratios, verify_trace,
+            lambda rows: write_trace_csv(rows, path),
+            lambda _: dataclasses.replace(ledger, gamma_used=gamma_used),
+        ):
+            with pytest.raises(NumericInputError, match=refusal):
+                consume(rows)
+        assert not path.exists()
+
     def test_engine_rows_and_oracle_give_equal_verdicts(self, preset_runs):
         for where, (ledger, oracle) in preset_runs.items():
             verdict = summarize_run(ledger, tau_for_bound=5.0)
@@ -923,29 +958,35 @@ class TestLedger:
             assert verify_trace(ledger) == verify_trace(oracle) == [], where
 
     def test_verify_trace_matches_the_row_loop_on_tampered_ledgers(self, preset_runs, tmp_path):
-        # and the trace of each copy agrees on disk: the reader refuses the
-        # first row with a field that is not finite, naming its first such
-        # column, and re-reads every other copy with the same verdict
+        # and the trace of each copy agrees on disk: a copy with a field that
+        # is not finite is refused in memory, naming the first such row and
+        # its columns, and on disk, naming its line and first such column;
+        # every other copy re-reads with the same verdict
         rng = random.Random(2)
         path = tmp_path / "trace.csv"
         faults = refused = 0
         for where, (ledger, _) in preset_runs.items():
             rows = list(ledger)
             for copy in [rows] + [tampered(rows, rng) for _ in range(8)]:
+                bad = [(i, c) for i, r in enumerate(copy) for c in TRACE_COLUMNS
+                       if not math.isfinite(getattr(r, c))]
+                if bad:
+                    (i, column), refused = bad[0], refused + 1
+                    columns = ", ".join(c for j, c in bad if j == i)
+                    refusal = rf"^row k={copy[i].k}: columns not finite: {columns}$"
+                    with pytest.raises(NumericInputError, match=refusal):
+                        verify_trace(copy)
+                    write_rows_as_text(copy, path)
+                    on_read = rf":{i + 2}: column {column} is not finite$"
+                    with pytest.raises(ValueError, match=on_read):
+                        read_trace_csv(path)
+                    continue
                 want = verify_rows_reference(copy)
                 assert verify_trace(copy) == want, where
                 assert verify_trace(Ledger.of(copy)) == want, where
                 faults += bool(want)
                 write_trace_csv(copy, path)
-                bad = [(i, c) for i, r in enumerate(copy) for c in TRACE_COLUMNS
-                       if not math.isfinite(getattr(r, c))]
-                if not bad:
-                    assert verify_trace(read_trace_csv(path)) == want, where
-                    continue
-                (i, column), refused = bad[0], refused + 1
-                assert f"row k={copy[i].k}: columns not finite: {column}" in "\n".join(want)
-                with pytest.raises(ValueError, match=rf":{i + 2}: column {column} is not finite$"):
-                    read_trace_csv(path)
+                assert verify_trace(read_trace_csv(path)) == want, where
         assert faults > 0 and refused > 0
 
     def test_summary_counts_the_rows_verify_trace_reports(self, preset_runs):
@@ -956,7 +997,13 @@ class TestLedger:
         for where, (ledger, _) in preset_runs.items():
             rows = list(ledger)
             for copy in [rows] + [tampered(rows, rng) for _ in range(8)]:
-                problems = verify_trace(copy)
+                try:
+                    problems = verify_trace(copy)
+                except NumericInputError as exc:
+                    # a field that is not finite: the summary refuses the copy alike
+                    with pytest.raises(NumericInputError, match=f"^{re.escape(str(exc))}$"):
+                        summarize_run(copy)
+                    continue
                 reported = {
                     kind: sum(f": {kind}" in p for p in problems)
                     for kind in ("local energy inequality", "conditional improvement")
@@ -1038,7 +1085,6 @@ class TestTraceCsvFuzz:
         assert all(isinstance(p, str) for p in problems)
         if records == original:
             assert problems == []
-        # what the reader accepts is finite, and a re-read keeps its verdict
-        assert not any(": columns not finite: " in p for p in problems)
+        # what the reader accepts is a Ledger, and a re-read keeps its verdict
         write_trace_csv(records, path)
         assert verify_trace(read_trace_csv(path)) == problems
